@@ -91,6 +91,14 @@ def max_value_knapsack(
             pre_accepted=tuple(free),
         )
 
+    # Past the core items' total weight the DP row is flat (every
+    # core weight is > 0 here), and the walk-back starts from the
+    # first maximum, so capping the table there is exact: its size
+    # is bounded by the items, not by the budget.
+    effective_capacity = min(
+        effective_capacity, sum(weights[i] for i in core)
+    )
+
     # Classic DP over capacity, parent-tracked per item.
     dp = [0.0] * (effective_capacity + 1)
     taken = [[False] * (effective_capacity + 1) for _ in core]

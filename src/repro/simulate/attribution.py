@@ -70,6 +70,7 @@ from ..costmodel.total import CostBreakdown
 from ..errors import SimulationError
 from ..money import Money, ZERO
 from ..optimizer.problem import SelectionOutcome, SelectionProblem
+from ..workload.workload import NAMESPACE_SEPARATOR
 from .ledger import EpochRecord, TenantEpochRecord
 
 __all__ = [
@@ -85,8 +86,9 @@ __all__ = [
 ATTRIBUTION_MODES = ("proportional", "even")
 
 #: Separator between a tenant's name and its queries' names in the
-#: merged fleet workload ("acme/Q1" belongs to tenant "acme").
-TENANT_SEPARATOR = "/"
+#: merged fleet workload ("acme/Q1" belongs to tenant "acme"): each
+#: tenant's queries form the workload namespace named after it.
+TENANT_SEPARATOR = NAMESPACE_SEPARATOR
 
 
 def tenant_of_query(query_name: str) -> Optional[str]:

@@ -45,7 +45,6 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 from ..errors import SchemaError, SimulationError
 from ..pricing.providers import Provider
 from ..workload.query import AggregateQuery
-from ..workload.workload import Workload
 from .state import WarehouseState
 
 __all__ = [
@@ -426,27 +425,17 @@ class TenantArrival(SimulationEvent):
             )
 
     def apply(self, state: WarehouseState) -> WarehouseState:
-        """The state with the tenant's queries joined to the workload."""
+        """The state with the tenant's queries joined to the workload.
+
+        Only the arriving queries are validated; the resident workload
+        is spliced, not re-checked.
+        """
         try:
-            workload = state.workload
-            position = len(workload)
-            if self.precedes:
-                laters = frozenset(self.precedes)
-                for index, query in enumerate(workload):
-                    owner, _, rest = query.name.partition("/")
-                    if rest and owner in laters:
-                        position = index
-                        break
-            existing = tuple(workload)
-            merged = Workload(
-                workload.schema,
-                (
-                    *existing[:position],
-                    *self.queries,
-                    *existing[position:],
-                ),
+            return state.with_workload(
+                state.workload.with_queries(
+                    self.queries, before=self.precedes
+                )
             )
-            return state.with_workload(merged)
         except SchemaError as error:
             raise SimulationError(
                 f"epoch {self.epoch}: tenant {self.tenant!r} cannot "

@@ -28,11 +28,12 @@ bytes.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from multiprocessing import get_context
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import SimulationError
-from ..money import Money, ZERO
+from ..money import _CTX, Money, ZERO
 from .attribution import AllocationEntry, SharedCostAttributor
 from .ledger import EpochRecord, TenantEpochRecord
 
@@ -194,55 +195,59 @@ class ShardedAttribution:
         # Merge: per entry, replay the sequential running sum in
         # global tenant order; the globally-last tenant takes the
         # exact residual — allocate_exactly's association, verbatim.
-        values: List[Dict[str, Money]] = [
-            {field: ZERO for field in _FIELDS} for _ in range(n)
+        # The sums run on raw Decimals in Money's context, each
+        # starting from ZERO's amount (its exponent is part of every
+        # result), and are wrapped in Money once per field.
+        add, subtract = _CTX.add, _CTX.subtract
+        sums: List[Dict[str, Decimal]] = [
+            dict.fromkeys(_FIELDS, ZERO.amount) for _ in range(n)
         ]
         for entry_index, entry in enumerate(entries):
-            running = ZERO
+            field = entry.field
+            running = ZERO.amount
             position = 0
             for shard_index in range(len(bounds)):
                 for share in shard_results[shard_index][entry_index]:
                     if position == n - 1:
                         break
-                    values[position][entry.field] += share
-                    running = running + share
+                    row = sums[position]
+                    row[field] = add(row[field], share.amount)
+                    running = add(running, share.amount)
                     position += 1
-            values[n - 1][entry.field] += entry.amount - running
+            sums[n - 1][field] = add(
+                sums[n - 1][field], subtract(entry.amount.amount, running)
+            )
 
         arrivals = dict(record.arrivals)
-        missing = set(arrivals) - set(active)
+        active_set = set(active)
+        missing = set(arrivals) - active_set
         if missing:
             raise SimulationError(
                 f"epoch {record.epoch}: arrival charges for "
                 f"{sorted(missing)!r}, which are not in the active split"
             )
-        checks = {field: ZERO for field in _FIELDS}
+        checks = dict.fromkeys(_FIELDS, ZERO.amount)
         produced = []
-        for index, name in enumerate(active):
-            fields = values[index]
-            for field in _FIELDS:
-                checks[field] += fields[field]
+        for name, row in zip(active, sums):
+            for field, amount in row.items():
+                checks[field] = add(checks[field], amount)
             produced.append(
                 TenantEpochRecord(
                     epoch=record.epoch,
                     tenant=name,
-                    processing_cost=fields["processing_cost"],
-                    transfer_cost=fields["transfer_cost"],
-                    maintenance_cost=fields["maintenance_cost"],
-                    storage_cost=fields["storage_cost"],
-                    build_cost=fields["build_cost"],
-                    teardown_cost=fields["teardown_cost"],
                     processing_hours=hours[name],
-                    migration_cost=fields["migration_cost"],
-                    cancelled_cost=fields["cancelled_cost"],
                     onboarding_cost=arrivals.get(name, ZERO),
+                    **{field: Money(amount) for field, amount in row.items()},
                 )
             )
-        self._verify_epoch(record, checks)
+        self._verify_epoch(
+            record,
+            {field: Money(amount) for field, amount in checks.items()},
+        )
         for share in produced:
             yield share
         for tenant, amount in record.departures:
-            if tenant in arrivals or tenant in set(active):
+            if tenant in arrivals or tenant in active_set:
                 raise SimulationError(
                     f"epoch {record.epoch}: departure settlement for "
                     f"{tenant!r}, which is still in the active split"

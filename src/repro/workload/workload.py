@@ -12,29 +12,81 @@ consistent with the paper's per-query time limits growing from 0.19 h
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from dataclasses import replace
+from operator import indexOf
+from typing import (
+    Collection,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from .query import AggregateQuery
 from ..errors import SchemaError
 from ..schema.hierarchy import ALL
 from ..schema.star import StarSchema
 
-__all__ = ["Workload", "paper_sales_workload", "cross_workload"]
+__all__ = [
+    "NAMESPACE_SEPARATOR",
+    "Workload",
+    "paper_sales_workload",
+    "cross_workload",
+]
+
+#: Separates a query name's namespace from the rest ("acme/Q1" is in
+#: namespace "acme"); tenant fleets namespace each tenant's queries.
+NAMESPACE_SEPARATOR = "/"
 
 
 class Workload:
-    """An ordered, duplicate-free set of aggregate queries."""
+    """An ordered, duplicate-free set of aggregate queries.
+
+    ``Workload(schema, queries)`` is the one validating constructor:
+    it checks every query's grain and filters against the schema and
+    rejects duplicate names.  The drift operations (:meth:`with_queries`,
+    :meth:`without`, :meth:`reweighted`, :meth:`prefix`) validate only
+    what they add and splice the resident queries, already checked,
+    through the private trusted constructor — so a churn event costs
+    the validation of its own queries, not of the whole workload.
+    """
 
     def __init__(self, schema: StarSchema, queries: Iterable[AggregateQuery]) -> None:
-        self._schema = schema
-        self._queries: Tuple[AggregateQuery, ...] = tuple(queries)
-        if not self._queries:
+        queries = tuple(queries)
+        if not queries:
             raise SchemaError("a workload needs at least one query")
-        names = [q.name for q in self._queries]
+        names = tuple(q.name for q in queries)
         if len(set(names)) != len(names):
             raise SchemaError("workload query names must be unique")
-        for query in self._queries:
+        for query in queries:
             query.validate_against(schema)
+        self._schema = schema
+        self._queries: Tuple[AggregateQuery, ...] = queries
+        # Aligned with ``_queries``: each query's name and namespace.
+        self._names: Tuple[str, ...] = names
+        self._spaces: Tuple[Optional[str], ...] = tuple(map(_namespace, names))
+
+    @classmethod
+    def _trusted(
+        cls,
+        schema: StarSchema,
+        queries: Tuple[AggregateQuery, ...],
+        names: Tuple[str, ...],
+        spaces: Tuple[Optional[str], ...],
+    ) -> "Workload":
+        """A workload from already-validated, aligned parts; checks nothing.
+
+        Only the drift operations call this, with queries that all
+        passed through ``Workload.__init__`` on this ``schema``.
+        """
+        workload = cls.__new__(cls)
+        workload._schema = schema
+        workload._queries = queries
+        workload._names = names
+        workload._spaces = spaces
+        return workload
 
     @property
     def schema(self) -> StarSchema:
@@ -71,13 +123,55 @@ class Workload:
             raise SchemaError(
                 f"prefix size {m} outside [1, {len(self._queries)}]"
             )
-        return Workload(self._schema, self._queries[:m])
+        return Workload._trusted(
+            self._schema,
+            self._queries[:m],
+            self._names[:m],
+            self._spaces[:m],
+        )
 
     # -- drift operations (used by the lifecycle simulator) ------------
 
-    def with_queries(self, queries: Iterable[AggregateQuery]) -> "Workload":
-        """This workload plus ``queries`` appended, as a new workload."""
-        return Workload(self._schema, (*self._queries, *queries))
+    def with_queries(
+        self,
+        queries: Iterable[AggregateQuery],
+        before: Collection[str] = (),
+    ) -> "Workload":
+        """This workload plus ``queries``, as a new workload.
+
+        Only the arriving queries are validated (at least one, unique,
+        valid against the schema, no name already resident).
+
+        Parameters
+        ----------
+        queries:
+            The arriving queries, in the order they join.
+        before:
+            Namespaces (the part of a name before its first ``/``:
+            ``acme`` for ``acme/Q1``).  The arrivals are inserted
+            before the first resident query in any of them; with none
+            resident, or ``before`` empty, they are appended.
+        """
+        added = Workload(self._schema, queries)
+        clash = set(added._names).intersection(self._names)
+        if clash:
+            raise SchemaError(
+                f"workload query names must be unique; {sorted(clash)} "
+                f"already in the workload"
+            )
+        at = len(self._queries)
+        laters = frozenset(before)
+        if laters:
+            try:
+                at = indexOf(map(laters.__contains__, self._spaces), True)
+            except ValueError:  # no resident query in those namespaces
+                pass
+        return Workload._trusted(
+            self._schema,
+            self._queries[:at] + added._queries + self._queries[at:],
+            self._names[:at] + added._names + self._names[at:],
+            self._spaces[:at] + added._spaces + self._spaces[at:],
+        )
 
     def without(self, names: Iterable[str]) -> "Workload":
         """This workload minus the named queries, as a new workload.
@@ -86,38 +180,52 @@ class Workload:
         both enforced so a drift event that mistypes a query name fails
         loudly instead of silently dropping nothing.
         """
-        drop = set(names)
-        unknown = drop - {q.name for q in self._queries}
+        drop = frozenset(names)
+        unknown = drop.difference(self._names)
         if unknown:
             raise SchemaError(
                 f"cannot drop unknown queries: {sorted(unknown)}"
             )
-        kept = [q for q in self._queries if q.name not in drop]
-        if not kept:
+        if len(drop) == len(self._queries):
             raise SchemaError("cannot drop every query from a workload")
-        return Workload(self._schema, kept)
+        queries = list(self._queries)
+        kept = list(self._names)
+        spaces = list(self._spaces)
+        for at in sorted(map(self._names.index, drop), reverse=True):
+            del queries[at], kept[at], spaces[at]
+        return Workload._trusted(
+            self._schema,
+            tuple(queries),
+            tuple(kept),
+            tuple(spaces),
+        )
 
     def reweighted(self, frequencies: "dict[str, float]") -> "Workload":
         """A workload with the named queries' frequencies replaced."""
-        unknown = set(frequencies) - {q.name for q in self._queries}
+        unknown = set(frequencies).difference(self._names)
         if unknown:
             raise SchemaError(
                 f"cannot reweight unknown queries: {sorted(unknown)}"
             )
-        from dataclasses import replace
-
-        return Workload(
-            self._schema,
-            [
-                replace(q, frequency=frequencies[q.name])
-                if q.name in frequencies
-                else q
-                for q in self._queries
-            ],
+        queries = list(self._queries)
+        for name, frequency in frequencies.items():
+            at = self._names.index(name)
+            queries[at] = replace(queries[at], frequency=frequency)
+        return Workload._trusted(
+            self._schema, tuple(queries), self._names, self._spaces
         )
 
     def __repr__(self) -> str:
-        return f"Workload({self._schema.name!r}, {[q.name for q in self._queries]})"
+        return f"Workload({self._schema.name!r}, {list(self._names)})"
+
+
+def _namespace(name: str) -> Optional[str]:
+    """The namespace of a query name (``acme/Q1`` -> ``acme``), if any.
+
+    Names without ``/``, or with nothing after it, have none.
+    """
+    space, _, rest = name.partition(NAMESPACE_SEPARATOR)
+    return space if rest else None
 
 
 #: The reconstructed 10-query paper workload, as (time, geography) grains,

@@ -40,6 +40,30 @@ def brute_force_min_cover(weights, values, required):
     return best
 
 
+def uncapped_max_value(weights, values, capacity):
+    """The DP over the full capacity, before the total-weight cap."""
+    free = [i for i, w in enumerate(weights) if w <= 0 and values[i] >= 0]
+    core = [i for i in range(len(weights)) if i not in free]
+    capacity -= sum(weights[i] for i in free)
+    dp = [0.0] * (capacity + 1)
+    taken = [[False] * (capacity + 1) for _ in core]
+    for row, i in enumerate(core):
+        w, v = weights[i], values[i]
+        if w > capacity:
+            continue
+        for c in range(capacity, w - 1, -1):
+            if dp[c - w] + v > dp[c]:
+                dp[c] = dp[c - w] + v
+                taken[row][c] = True
+    c = max(range(capacity + 1), key=lambda c: dp[c])
+    chosen = list(free)
+    for row in range(len(core) - 1, -1, -1):
+        if taken[row][c]:
+            chosen.append(core[row])
+            c -= weights[core[row]]
+    return tuple(sorted(chosen))
+
+
 class TestMaxValue:
     def test_textbook_instance(self):
         solution = max_value_knapsack([3, 4, 5], [4.0, 5.0, 6.0], 7)
@@ -76,6 +100,33 @@ class TestMaxValue:
     def test_misaligned_inputs_rejected(self):
         with pytest.raises(OptimizationError):
             max_value_knapsack([1, 2], [1.0], 10)
+
+    @given(
+        items=st.lists(
+            st.tuples(
+                st.integers(min_value=-5, max_value=40),
+                # Few distinct values, so ties between subsets are common.
+                st.sampled_from([0.0, 1.0, 2.5, 4.0]),
+            ),
+            max_size=8,
+        ),
+        slack=st.integers(min_value=0, max_value=5000),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_capped_dp_matches_uncapped_dp(self, items, slack):
+        # Capacities far beyond the items' total weight: the DP is
+        # capped at that total, and must pick the very same subset.
+        weights = [w for w, _ in items]
+        values = [v for _, v in items]
+        capacity = sum(w for w in weights if w > 0) + slack
+        solution = max_value_knapsack(weights, values, capacity)
+        assert solution.chosen == uncapped_max_value(weights, values, capacity)
+
+    def test_table_does_not_scale_with_the_budget(self):
+        # A budget of 10**15 cents would need a petabyte-scale table
+        # if the DP were sized by the budget.
+        solution = max_value_knapsack([3, 4, 5], [4.0, 5.0, 6.0], 10**15)
+        assert solution.chosen == (0, 1, 2)
 
     @given(
         items=st.lists(

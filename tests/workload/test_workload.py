@@ -116,6 +116,55 @@ class TestDriftHelpers:
             base.without(["Q1", "Q2", "Q3"])
         with pytest.raises(SchemaError):
             base.reweighted({"nope": 2.0})
+        with pytest.raises(SchemaError):
+            base.reweighted({"Q1": 0.0})
+
+    def test_with_queries_validates_the_arrivals(self, schema):
+        base = paper_sales_workload(schema, 3)
+        with pytest.raises(SchemaError):
+            base.with_queries([AggregateQuery("X", ("decade", ALL))])
+        with pytest.raises(SchemaError, match="unique"):
+            twice = AggregateQuery("X", ("day", ALL))
+            base.with_queries([twice, twice])
+        with pytest.raises(SchemaError, match="at least one"):
+            base.with_queries([])
+
+    def test_with_queries_before_namespaces(self, schema):
+        def joined(*names, before=()):
+            base = Workload(schema, [_yearly(n) for n in names])
+            grown = base.with_queries([_yearly("new/1")], before=before)
+            return [q.name for q in grown]
+
+        # Inserted before the first resident query in any namespace.
+        assert joined("a/1", "c/1", "d/1", "c/2", before=("d", "c")) == [
+            "a/1", "new/1", "c/1", "d/1", "c/2"
+        ]
+        # None resident in those namespaces, or none given: appended.
+        assert joined("a/1", before=("z",)) == ["a/1", "new/1"]
+        assert joined("a/1", "c/1") == ["a/1", "c/1", "new/1"]
+        # A bare name, or one with nothing after the slash, is in no
+        # namespace.
+        assert joined("solo", "b/", before=("solo", "b")) == [
+            "solo", "b/", "new/1"
+        ]
+
+    def test_drift_operations_equal_a_rebuild(self, schema):
+        base = paper_sales_workload(schema, 10)
+        extra = AggregateQuery("X", ("day", ALL))
+        for drifted in (
+            base.with_queries([extra]),
+            base.without(["Q3", "Q7"]),
+            base.reweighted({"Q2": 5.0}),
+            base.prefix(4),
+        ):
+            rebuilt = Workload(schema, drifted.queries)
+            assert drifted.fingerprint() == rebuilt.fingerprint()
+            assert repr(drifted) == repr(rebuilt)
+            assert drifted.schema is schema
+
+
+def _yearly(name):
+    return AggregateQuery(name, ("year", ALL))
 
 
 class TestPaperWorkload:
