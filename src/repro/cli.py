@@ -679,7 +679,7 @@ def _migration_knobs(args: argparse.Namespace):
 
 
 def _build_config(args: argparse.Namespace):
-    """Resolve the build flags to a ``BuildConfig`` (``None`` = sync).
+    """Resolve the build flags to a ``BuildConfig`` (``None`` = instant).
 
     Asynchronous execution turns on as soon as any build knob is
     typed; ``--sync`` states the default regime explicitly, so typing

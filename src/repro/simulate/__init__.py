@@ -22,7 +22,11 @@ a :class:`TenantFleet` merges several tenants' workloads onto one
 shared warehouse, a :class:`MultiTenantSimulator` runs the merged
 fleet through the same epoch loop, and a
 :class:`SharedCostAttributor` splits every epoch's charges into
-per-tenant ledgers that sum exactly to the fleet bill — with an
+per-tenant ledgers that sum exactly to the fleet bill.  One plan
+(:meth:`SharedCostAttributor.component_plan`) decides each epoch's
+splits; in-memory ledgers evaluate it as one in-process shard, and
+population-scale runs evaluate it across tenant shards and worker
+processes through the same merge — with an
 optional fairness-aware selection mode
 (:class:`~repro.optimizer.fairness.FairShareScenario`) capping each
 tenant's attributed cost.
@@ -38,16 +42,18 @@ egress, re-materialization on the target) when the amortized savings
 over ``--migration-horizon`` epochs beat the switch cost, with
 hold-N hysteresis against spot-price thrash.
 
-Asynchronous epoch execution (see :mod:`repro.simulate.builds`) stops
-pretending builds are free in time: a :class:`BuildQueue` with
-bounded ``build_slots`` and a FIFO / shortest-build-first discipline
-admits :class:`BuildJob`\\ s whose durations come from the cost
-model's ``materialization_hours``, so a rebuild decided in epoch *k*
-lands **mid-epoch** — queries are answered from the previous holdings
-until the view lands, epochs split into prorated
-:class:`EpochSegment`\\ s at the landing instants, an abandoned build
-bills only its sunk compute, and zero-latency builds (or the CLI's
-``--sync``) reproduce the synchronous ledgers byte-identically.
+There is one epoch loop, and every decided build goes through its
+build queue (see :mod:`repro.simulate.builds`): a :class:`BuildQueue`
+with bounded ``build_slots`` and a FIFO / shortest-build-first
+discipline admits :class:`BuildJob`\\ s whose durations come from the
+cost model's ``materialization_hours``, so a rebuild decided in epoch
+*k* lands **mid-epoch** — queries are answered from the previous
+holdings until the view lands, epochs split into prorated
+:class:`EpochSegment`\\ s at the landing instants, and an abandoned
+build bills only its sunk compute.  The synchronous regime is the
+instant-build case of the same loop: ``builds=None`` (the CLI's
+default, or ``--sync``) lands every build at its own epoch's start,
+so each epoch bills one full period of the decided subset.
 
 Stochastic drift and Monte Carlo evaluation close the loop (see
 :mod:`repro.simulate.stochastic` and

@@ -23,7 +23,7 @@ Cost components and how they are split:
   fleet infrastructure with no per-view user set, split by the
   infrastructure rule (proportional to use, or evenly).
 
-Asynchronous epochs (records carrying
+Epochs billed on mid-epoch holdings (records carrying
 :class:`~repro.simulate.ledger.EpochSegment`\\ s) are attributed
 segment by segment: each segment's prorated operating components are
 split by the views live *during that segment* — a tenant whose
@@ -32,6 +32,16 @@ only from the landing — and the per-segment shares sum across
 segments to exactly the epoch's prorated fleet charges, so
 :meth:`~repro.simulate.ledger.FleetLedger.verify_attribution` holds
 unchanged.
+
+One plan, one merge: :meth:`SharedCostAttributor.component_plan` is
+the only place an epoch's splits are decided, as a tuple of
+:class:`AllocationEntry` records.  :func:`plan_products` computes
+their per-tenant products and :func:`merge_plan` replays the
+sequential residual.  Fleet runs evaluate the plan through
+:mod:`repro.simulate.sharding` (one in-process shard, or several
+tenant shards across worker processes) and
+:meth:`SharedCostAttributor.outcome_shares` evaluates it in-process —
+the same merge, the same bytes.
 
 Two attribution modes (:data:`ATTRIBUTION_MODES`):
 
@@ -53,11 +63,13 @@ cent" but to the last decimal digit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from decimal import Decimal
 from typing import (
     Callable,
     Dict,
     FrozenSet,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -68,7 +80,7 @@ from typing import (
 from ..costmodel.storage import storage_cost
 from ..costmodel.total import CostBreakdown
 from ..errors import SimulationError
-from ..money import Money, ZERO
+from ..money import _CTX, Money, ZERO
 from ..optimizer.problem import SelectionOutcome, SelectionProblem
 from ..workload.workload import NAMESPACE_SEPARATOR
 from .ledger import EpochRecord, TenantEpochRecord
@@ -77,8 +89,12 @@ __all__ = [
     "ATTRIBUTION_MODES",
     "TENANT_SEPARATOR",
     "AllocationEntry",
+    "PLAN_FIELDS",
     "SharedCostAttributor",
     "allocate_exactly",
+    "merge_plan",
+    "plan_products",
+    "tenant_records",
     "tenant_of_query",
 ]
 
@@ -89,6 +105,19 @@ ATTRIBUTION_MODES = ("proportional", "even")
 #: merged fleet workload ("acme/Q1" belongs to tenant "acme"): each
 #: tenant's queries form the workload namespace named after it.
 TENANT_SEPARATOR = NAMESPACE_SEPARATOR
+
+#: The :class:`~repro.simulate.ledger.TenantEpochRecord` fields an
+#: :class:`AllocationEntry` may land on.
+PLAN_FIELDS = (
+    "processing_cost",
+    "transfer_cost",
+    "maintenance_cost",
+    "storage_cost",
+    "build_cost",
+    "teardown_cost",
+    "migration_cost",
+    "cancelled_cost",
+)
 
 
 def tenant_of_query(query_name: str) -> Optional[str]:
@@ -134,16 +163,16 @@ def allocate_exactly(
 
 @dataclass(frozen=True)
 class AllocationEntry:
-    """One exact split, flattened for sharded execution.
+    """One exact split of an epoch's attribution plan.
 
     The normalized form of one :func:`allocate_exactly` call: ``field``
     names the :class:`~repro.simulate.ledger.TenantEpochRecord`
     component the shares land on, ``weights`` aligns with the active
     tenant order, and the zero-total even fallback is *already
     applied* (``total`` is the exact divisor the sequential split
-    uses).  A worker can therefore compute any tenant's product share
-    ``amount * (weights[i] / total)`` independently — the same Money
-    expression :func:`allocate_exactly` evaluates — and the merge
+    uses).  Any tenant's product share ``amount * (weights[i] /
+    total)`` can therefore be computed independently — in-process or
+    in a worker shard (:func:`plan_products`) — and :func:`merge_plan`
     reassembles the sequential running sum so the globally-last tenant
     gets the exact residual, byte-identical for any shard count.
     """
@@ -236,7 +265,7 @@ class SharedCostAttributor:
         self,
         problem: SelectionProblem,
         subset: FrozenSet[str],
-        tenants: Optional[Sequence[str]] = None,
+        active: Tuple[str, ...],
     ) -> Tuple[Dict[str, float], Dict[str, float], Dict[str, Dict[str, float]]]:
         """Per-tenant processing/egress weights and per-view user weights.
 
@@ -244,11 +273,10 @@ class SharedCostAttributor:
         ``egress`` map tenant -> frequency-weighted hours / GB, and
         ``users`` maps view name -> {tenant: frequency-weighted accesses
         to that view} (only tenants with at least one query answered by
-        the view appear).  ``tenants`` restricts the split to an
-        elastic fleet's active set; every workload query must belong
-        to an active tenant.
+        the view appear).  ``active`` is the resolved active set (see
+        :meth:`_active`); every workload query must belong to an
+        active tenant.
         """
-        active = self._active(tenants)
         inputs = problem.inputs
         # One pass computes hours, egress and per-view users together;
         # the hours agree with PlanningInputs.group_processing_hours
@@ -280,7 +308,7 @@ class SharedCostAttributor:
         per_view_amounts: Mapping[str, float],
         users: Mapping[str, Mapping[str, float]],
         infrastructure: Mapping[str, float],
-        tenants: Optional[Sequence[str]] = None,
+        active: Tuple[str, ...],
     ) -> Dict[str, float]:
         """Per-tenant weights for charges that accrue per view.
 
@@ -290,7 +318,6 @@ class SharedCostAttributor:
         for views nobody currently uses (a policy may carry a view
         through an epoch in which no query reads it).
         """
-        active = self._active(tenants)
         weights = {name: 0.0 for name in active}
         infra_total = sum(infrastructure.values())
         for view_name, amount in per_view_amounts.items():
@@ -318,219 +345,193 @@ class SharedCostAttributor:
     def _infrastructure_weights(
         self,
         processing: Mapping[str, float],
-        tenants: Optional[Sequence[str]] = None,
+        active: Tuple[str, ...],
     ) -> Mapping[str, float]:
         """The rule for charges with no per-view user set."""
         if self._mode == "even":
-            return {name: 1.0 for name in self._active(tenants)}
+            return {name: 1.0 for name in active}
         return processing
 
-    # -- the splits -----------------------------------------------------
+    # -- the plan -------------------------------------------------------
 
-    def _component_shares(
+    @staticmethod
+    def _plan_entry(
+        field: str,
+        amount: Money,
+        weights: Mapping[str, float],
+        order: Sequence[str],
+    ) -> AllocationEntry:
+        """Normalize one split into an :class:`AllocationEntry`.
+
+        Mirrors :func:`allocate_exactly`'s weight handling exactly:
+        clipping, total, and even fallback are applied here so every
+        evaluator computes the identical ``amount * (weight / total)``
+        products.
+        """
+        clipped = tuple(
+            max(0.0, weights.get(name, 0.0)) for name in order
+        )
+        total = sum(clipped)
+        if total <= 0.0:
+            clipped = tuple(1.0 for _ in order)
+            total = float(len(order))
+        return AllocationEntry(
+            field=field, amount=amount, weights=clipped, total=total
+        )
+
+    def _operating_entries(
+        self,
+        problem: SelectionProblem,
+        subset: FrozenSet[str],
+        breakdown: CostBreakdown,
+        fraction: float,
+        active: Tuple[str, ...],
+    ) -> Tuple[List[AllocationEntry], Dict[str, float], Dict]:
+        """The operating-cost entries of one period (or segment).
+
+        Splits ``breakdown``'s processing, transfer, maintenance and
+        storage — scaled by ``fraction``, the period share a segment
+        held ``subset`` for — by the users of ``subset``.  Storage
+        contributes two entries, base then view share, both landing
+        on ``storage_cost``.  Returns ``(entries, processing hours,
+        view users)`` for the caller's one-off entries.
+        """
+        inputs = problem.inputs
+        processing, egress, users = self._direct_weights(
+            problem, subset, active
+        )
+        infrastructure = self._infrastructure_weights(processing, active)
+
+        def scaled(amount: Money) -> Money:
+            return amount if fraction == 1.0 else amount * fraction
+
+        ordered = sorted(subset)
+        cycles = inputs.deployment.maintenance_cycles
+        maintenance_amounts = {
+            name: inputs.view_stats[name].maintenance_hours_per_cycle * cycles
+            for name in ordered
+        }
+        size_amounts = {
+            name: inputs.view_stats[name].size_gb for name in ordered
+        }
+        base_storage = storage_cost(
+            inputs.deployment.provider.storage, inputs.base_timeline
+        )
+        entries = [
+            self._plan_entry(
+                "processing_cost",
+                scaled(breakdown.computing.processing_cost),
+                processing, active,
+            ),
+            self._plan_entry(
+                "transfer_cost", scaled(breakdown.transfer), egress, active
+            ),
+            self._plan_entry(
+                "maintenance_cost",
+                scaled(breakdown.computing.maintenance_cost),
+                self._view_weights(
+                    maintenance_amounts, users, infrastructure, active
+                ),
+                active,
+            ),
+            self._plan_entry(
+                "storage_cost", scaled(base_storage), infrastructure, active
+            ),
+            self._plan_entry(
+                "storage_cost",
+                scaled(breakdown.storage - base_storage),
+                self._view_weights(
+                    size_amounts, users, infrastructure, active
+                ),
+                active,
+            ),
+        ]
+        return entries, processing, users
+
+    def _one_off_entries(
+        self,
+        build_cost: Money,
+        build_amounts: Mapping[str, float],
+        users: Mapping[str, Mapping[str, float]],
+        infrastructure: Mapping[str, float],
+        teardown_cost: Money,
+        migration_cost: Money,
+        cancelled_cost: Money,
+        active: Tuple[str, ...],
+    ) -> List[AllocationEntry]:
+        """Build, teardown, migration and cancelled-build entries."""
+        return [
+            self._plan_entry(
+                "build_cost",
+                build_cost,
+                self._view_weights(
+                    build_amounts, users, infrastructure, active
+                ),
+                active,
+            ),
+            self._plan_entry(
+                "teardown_cost", teardown_cost, infrastructure, active
+            ),
+            self._plan_entry(
+                "migration_cost", migration_cost, infrastructure, active
+            ),
+            self._plan_entry(
+                "cancelled_cost", cancelled_cost, infrastructure, active
+            ),
+        ]
+
+    def _period_plan(
         self,
         problem: SelectionProblem,
         subset: FrozenSet[str],
         built: FrozenSet[str],
         breakdown: CostBreakdown,
         teardown_cost: Money,
-        migration_cost: Money = ZERO,
-        cancelled_cost: Money = ZERO,
-        tenants: Optional[Sequence[str]] = None,
-    ) -> Tuple[Dict[str, Dict[str, Money]], Dict[str, float]]:
-        """Split every component of one epoch's breakdown.
+        migration_cost: Money,
+        cancelled_cost: Money,
+        active: Tuple[str, ...],
+    ) -> Tuple[Tuple[AllocationEntry, ...], Dict[str, float]]:
+        """The plan of one full period holding ``subset``.
 
-        Returns ``(shares, hours)``: ``shares`` maps component name
-        (``processing``, ``transfer``, ``maintenance``, ``storage``,
-        ``build``, ``teardown``, ``migration``, ``cancelled``) to per-tenant shares
-        summing exactly to the fleet amount; ``hours`` is each
-        tenant's own frequency-weighted processing hours (the
-        processing weights, reused so the hours reported on a
-        :class:`~repro.simulate.ledger.TenantEpochRecord` can never
-        drift from the weights its processing cost was split by).
+        ``breakdown`` is the period's priced breakdown (materialization
+        narrowed to ``built``), used as is — never re-priced.
         """
-        active = self._active(tenants)
-        inputs = problem.inputs
-        plan = inputs.plan_for(subset)
-        processing, egress, users = self._direct_weights(
-            problem, subset, active
+        entries, processing, users = self._operating_entries(
+            problem, subset, breakdown, 1.0, active
         )
-        infrastructure = self._infrastructure_weights(processing, active)
-        ordered = sorted(subset)
-        cycles = inputs.deployment.maintenance_cycles
-
-        maintenance_amounts = {
-            name: inputs.view_stats[name].maintenance_hours_per_cycle * cycles
-            for name in ordered
-        }
+        plan = problem.inputs.plan_for(subset)
         build_amounts = {
             name: hours
-            for name, hours in zip(ordered, plan.materialization_hours)
+            for name, hours in zip(sorted(subset), plan.materialization_hours)
             if name in built and hours > 0.0
         }
-        size_amounts = {
-            name: inputs.view_stats[name].size_gb for name in ordered
-        }
-
-        base_storage = storage_cost(
-            inputs.deployment.provider.storage, plan.base_timeline
-        )
-        view_storage = breakdown.storage - base_storage
-
-        storage_shares = allocate_exactly(
-            base_storage, infrastructure, active
-        )
-        view_storage_shares = allocate_exactly(
-            view_storage,
-            self._view_weights(size_amounts, users, infrastructure, active),
+        entries += self._one_off_entries(
+            breakdown.computing.materialization_cost,
+            build_amounts,
+            users,
+            self._infrastructure_weights(processing, active),
+            teardown_cost,
+            migration_cost,
+            cancelled_cost,
             active,
         )
-        shares = {
-            "processing": allocate_exactly(
-                breakdown.computing.processing_cost, processing, active
-            ),
-            "transfer": allocate_exactly(breakdown.transfer, egress, active),
-            "maintenance": allocate_exactly(
-                breakdown.computing.maintenance_cost,
-                self._view_weights(
-                    maintenance_amounts, users, infrastructure, active
-                ),
-                active,
-            ),
-            "storage": {
-                name: storage_shares[name] + view_storage_shares[name]
-                for name in active
-            },
-            "build": allocate_exactly(
-                breakdown.computing.materialization_cost,
-                self._view_weights(
-                    build_amounts, users, infrastructure, active
-                ),
-                active,
-            ),
-            "teardown": allocate_exactly(
-                teardown_cost, infrastructure, active
-            ),
-            "migration": allocate_exactly(
-                migration_cost, infrastructure, active
-            ),
-            "cancelled": allocate_exactly(
-                cancelled_cost, infrastructure, active
-            ),
-        }
-        return shares, processing
+        return tuple(entries), processing
 
-    def attribute(
+    def _segment_plan(
         self,
         problem: SelectionProblem,
         record: EpochRecord,
-        breakdown: CostBreakdown,
-        tenants: Optional[Sequence[str]] = None,
-    ) -> Dict[str, TenantEpochRecord]:
-        """One epoch's fleet record split into per-tenant records.
-
-        ``breakdown`` must be the epoch breakdown the record was
-        accounted from (materialization narrowed to the views built
-        this epoch) — the simulator passes it to its observer.
-        Records carrying segments (asynchronous epochs billed on
-        mid-epoch holdings) take the segment-wise path instead, which
-        re-prices each segment's holdings through the problem's
-        evaluation cache and ignores ``breakdown``.
-
-        ``tenants`` restricts the split to an elastic fleet's active
-        set for the epoch.  The record's churn charges are direct, not
-        shared: each arrival's onboarding lands 100% on the arriving
-        tenant's record, and each departure yields a settlement-only
-        record (all shares zero, ``offboarding_cost`` set) for a
-        tenant no longer in the active set.
-        """
-        records = self._split_epoch(problem, record, breakdown, tenants)
-        return self._apply_churn(record, records)
-
-    def _split_epoch(
-        self,
-        problem: SelectionProblem,
-        record: EpochRecord,
-        breakdown: CostBreakdown,
-        tenants: Optional[Sequence[str]] = None,
-    ) -> Dict[str, TenantEpochRecord]:
-        """The shared-charge split, before churn charges land."""
-        if record.segments:
-            return self._attribute_segments(problem, record, tenants)
-        active = self._active(tenants)
-        subset = frozenset(record.subset)
-        built = frozenset(record.views_built)
-        shares, hours = self._component_shares(
-            problem, subset, built, breakdown, record.teardown_cost,
-            record.migration_cost, record.cancelled_cost, active,
-        )
-        return {
-            name: TenantEpochRecord(
-                epoch=record.epoch,
-                tenant=name,
-                processing_cost=shares["processing"][name],
-                transfer_cost=shares["transfer"][name],
-                maintenance_cost=shares["maintenance"][name],
-                storage_cost=shares["storage"][name],
-                build_cost=shares["build"][name],
-                teardown_cost=shares["teardown"][name],
-                processing_hours=hours[name],
-                migration_cost=shares["migration"][name],
-                cancelled_cost=shares["cancelled"][name],
-            )
-            for name in active
-        }
-
-    def _apply_churn(
-        self,
-        record: EpochRecord,
-        records: Dict[str, TenantEpochRecord],
-    ) -> Dict[str, TenantEpochRecord]:
-        """Land the epoch's direct churn charges on tenant records."""
-        for tenant, amount in record.arrivals:
-            if tenant not in records:
-                raise SimulationError(
-                    f"epoch {record.epoch}: arrival charge for "
-                    f"{tenant!r}, which is not in the active split"
-                )
-            records[tenant] = replace(
-                records[tenant], onboarding_cost=amount
-            )
-        for tenant, amount in record.departures:
-            if tenant in records:
-                raise SimulationError(
-                    f"epoch {record.epoch}: departure settlement for "
-                    f"{tenant!r}, which is still in the active split"
-                )
-            records[tenant] = TenantEpochRecord(
-                epoch=record.epoch,
-                tenant=tenant,
-                processing_cost=ZERO,
-                transfer_cost=ZERO,
-                maintenance_cost=ZERO,
-                storage_cost=ZERO,
-                build_cost=ZERO,
-                teardown_cost=ZERO,
-                processing_hours=0.0,
-                offboarding_cost=amount,
-            )
-        return records
-
-    def _attribute_segments(
-        self,
-        problem: SelectionProblem,
-        record: EpochRecord,
-        active_tenants: Optional[Sequence[str]] = None,
-    ) -> Dict[str, TenantEpochRecord]:
-        """Attribute one asynchronous epoch, segment by segment.
+        active: Tuple[str, ...],
+    ) -> Tuple[Tuple[AllocationEntry, ...], Dict[str, float]]:
+        """The plan of an epoch billed segment by segment.
 
         Each segment's full-period components are scaled by its period
         fraction and split by the tenants using the views live in
-        *that* segment; per-tenant shares accumulate across segments.
-        Because every per-segment split is exact
-        (:func:`allocate_exactly`) and ``Money`` products distribute
-        exactly at this precision, the accumulated shares sum to the
-        record's prorated fleet charges to the last digit.
+        *that* segment — a tenant whose dashboard view lands mid-epoch
+        starts paying its view-storage share only from the landing.
+        Because every split is exact and ``Money`` products distribute
+        exactly at this precision, the shares sum across segments to
+        the record's prorated fleet charges to the last digit.
 
         Epoch-level one-offs — builds landing this epoch, teardown
         egress, migration transfer, cancelled-build sunk compute — are
@@ -539,119 +540,78 @@ class SharedCostAttributor:
         rule over time-weighted processing hours.
         """
         inputs = problem.inputs
-        tenants = self._active(active_tenants)
-        operating_components = (
-            "processing", "transfer", "maintenance", "storage",
-        )
-        totals: Dict[str, Dict[str, Money]] = {
-            component: {name: ZERO for name in tenants}
-            for component in operating_components
-        }
-        hours = {name: 0.0 for name in tenants}
-        cycles = inputs.deployment.maintenance_cycles
-        base_storage_full = storage_cost(
-            inputs.deployment.provider.storage, inputs.base_timeline
-        )
-        end_users: Dict[str, Mapping[str, float]] = {}
+        entries: List[AllocationEntry] = []
+        hours = {name: 0.0 for name in active}
+        end_users: Mapping[str, Mapping[str, float]] = {}
         for segment in record.segments:
             subset = frozenset(segment.subset)
-            bd = problem.evaluate(subset).breakdown
-            processing, egress, users = self._direct_weights(
-                problem, subset, tenants
+            segment_entries, processing, end_users = (
+                self._operating_entries(
+                    problem,
+                    subset,
+                    problem.evaluate(subset).breakdown,
+                    segment.fraction,
+                    active,
+                )
             )
-            infrastructure = self._infrastructure_weights(
-                processing, tenants
-            )
-            end_users = users
-            fraction = segment.fraction
-
-            def scaled(amount: Money) -> Money:
-                return amount if fraction == 1.0 else amount * fraction
-
-            ordered = sorted(subset)
-            maintenance_amounts = {
-                name: inputs.view_stats[name].maintenance_hours_per_cycle
-                * cycles
-                for name in ordered
-            }
-            size_amounts = {
-                name: inputs.view_stats[name].size_gb for name in ordered
-            }
-            base_shares = allocate_exactly(
-                scaled(base_storage_full), infrastructure, tenants
-            )
-            view_storage_shares = allocate_exactly(
-                scaled(bd.storage - base_storage_full),
-                self._view_weights(
-                    size_amounts, users, infrastructure, tenants
-                ),
-                tenants,
-            )
-            segment_shares = {
-                "processing": allocate_exactly(
-                    scaled(bd.computing.processing_cost), processing, tenants
-                ),
-                "transfer": allocate_exactly(
-                    scaled(bd.transfer), egress, tenants
-                ),
-                "maintenance": allocate_exactly(
-                    scaled(bd.computing.maintenance_cost),
-                    self._view_weights(
-                        maintenance_amounts, users, infrastructure, tenants
-                    ),
-                    tenants,
-                ),
-                "storage": {
-                    name: base_shares[name] + view_storage_shares[name]
-                    for name in tenants
-                },
-            }
-            for component in operating_components:
-                for name in tenants:
-                    totals[component][name] = (
-                        totals[component][name] + segment_shares[component][name]
-                    )
-            for name in tenants:
-                hours[name] += processing[name] * fraction
-        # Epoch-level one-offs, split once over the whole epoch; the
-        # infrastructure rule runs on time-weighted processing hours.
-        epoch_infrastructure = self._infrastructure_weights(hours, tenants)
+            entries += segment_entries
+            for name in active:
+                hours[name] += processing[name] * segment.fraction
         build_amounts = {
             name: inputs.view_stats[name].materialization_hours
             for name in record.views_built
         }
-        build_shares = allocate_exactly(
+        entries += self._one_off_entries(
             record.build_cost,
-            self._view_weights(
-                build_amounts, end_users, epoch_infrastructure, tenants
-            ),
-            tenants,
+            build_amounts,
+            end_users,
+            self._infrastructure_weights(hours, active),
+            record.teardown_cost,
+            record.migration_cost,
+            record.cancelled_cost,
+            active,
         )
-        teardown_shares = allocate_exactly(
-            record.teardown_cost, epoch_infrastructure, tenants
+        return tuple(entries), hours
+
+    def component_plan(
+        self,
+        problem: SelectionProblem,
+        record: EpochRecord,
+        breakdown: CostBreakdown,
+        tenants: Optional[Sequence[str]] = None,
+    ) -> Tuple[Tuple[AllocationEntry, ...], Dict[str, float]]:
+        """One epoch's splits — the only place they are decided.
+
+        Returns ``(entries, hours)``: the epoch's exact splits as
+        :class:`AllocationEntry` records in a fixed order, plus each
+        active tenant's processing hours (the processing weights,
+        reused so the hours reported on a
+        :class:`~repro.simulate.ledger.TenantEpochRecord` can never
+        drift from the weights its processing cost was split by).
+
+        ``breakdown`` must be the epoch breakdown the record was
+        accounted from (materialization narrowed to the views built
+        this epoch) — the simulator passes it to its observer.
+        Records carrying segments (epochs billed on mid-epoch
+        holdings) are planned segment by segment instead, re-pricing
+        each segment's holdings through the problem's evaluation
+        cache and ignoring ``breakdown``.
+        """
+        active = self._active(tenants)
+        if record.segments:
+            return self._segment_plan(problem, record, active)
+        return self._period_plan(
+            problem,
+            frozenset(record.subset),
+            frozenset(record.views_built),
+            breakdown,
+            record.teardown_cost,
+            record.migration_cost,
+            record.cancelled_cost,
+            active,
         )
-        migration_shares = allocate_exactly(
-            record.migration_cost, epoch_infrastructure, tenants
-        )
-        cancelled_shares = allocate_exactly(
-            record.cancelled_cost, epoch_infrastructure, tenants
-        )
-        return {
-            name: TenantEpochRecord(
-                epoch=record.epoch,
-                tenant=name,
-                processing_cost=totals["processing"][name],
-                transfer_cost=totals["transfer"][name],
-                maintenance_cost=totals["maintenance"][name],
-                storage_cost=totals["storage"][name],
-                build_cost=build_shares[name],
-                teardown_cost=teardown_shares[name],
-                processing_hours=hours[name],
-                migration_cost=migration_shares[name],
-                cancelled_cost=cancelled_shares[name],
-            )
-            for name in tenants
-        }
+
+    # -- evaluating the plan --------------------------------------------
 
     def outcome_shares(
         self,
@@ -669,23 +629,25 @@ class SharedCostAttributor:
         constrains.
         """
         active = self._active(tenants)
-        shares, _ = self._component_shares(
+        entries, _ = self._period_plan(
             problem,
             outcome.subset,
             outcome.subset,
             outcome.breakdown,
             ZERO,
-            tenants=active,
+            ZERO,
+            ZERO,
+            active,
         )
+        add = _CTX.add
         totals: Dict[str, Money] = {}
-        for name in active:
-            totals[name] = (
-                shares["processing"][name]
-                + shares["transfer"][name]
-                + shares["maintenance"][name]
-                + shares["storage"][name]
-                + shares["build"][name]
-            )
+        for name, row in zip(active, merge_plan(entries, len(active))):
+            total = row["processing_cost"]
+            for field in (
+                "transfer_cost", "maintenance_cost", "storage_cost", "build_cost",
+            ):
+                total = add(total, row[field])
+            totals[name] = Money(total)
         return totals
 
     def outcome_hours(
@@ -702,7 +664,7 @@ class SharedCostAttributor:
         rule is involved.
         """
         processing, _, _ = self._direct_weights(
-            problem, outcome.subset, tenants
+            problem, outcome.subset, self._active(tenants)
         )
         return processing
 
@@ -717,223 +679,167 @@ class SharedCostAttributor:
         }
         return tuple(name for name in self._tenants if name in present)
 
-    # -- sharded execution ---------------------------------------------
 
-    @staticmethod
-    def _plan_entry(
-        field: str,
-        amount: Money,
-        weights: Mapping[str, float],
-        order: Sequence[str],
-    ) -> AllocationEntry:
-        """Normalize one split into an :class:`AllocationEntry`.
+#: One shard's products: per plan entry, the shard's per-tenant
+#: ``amount * (weight / total)`` values as raw ``Decimal``\ s.
+_Products = Tuple[Tuple[Decimal, ...], ...]
 
-        Mirrors :func:`allocate_exactly`'s weight handling exactly:
-        clipping, total, and even fallback are applied here so workers
-        evaluate the identical ``amount * (weight / total)`` products.
-        """
-        clipped = tuple(
-            max(0.0, weights.get(name, 0.0)) for name in order
+
+def plan_products(
+    payload: Sequence[Tuple[Money, Sequence[float], float]],
+) -> _Products:
+    """Per-tenant products of plan entries, entry by entry.
+
+    ``payload`` holds ``(amount, weights, total)`` per entry, the
+    weights restricted to one contiguous tenant range.  Evaluates
+    exactly the expression :func:`allocate_exactly` gives a non-last
+    tenant — ``amount * (weight / total)``, the float ratio converted
+    through ``str`` as :class:`~repro.money.Money` does — on raw
+    Decimals in Money's context.  Top-level so it pickles to worker
+    processes.
+    """
+    multiply = _CTX.multiply
+    return tuple(
+        tuple(
+            multiply(amount.amount, Decimal(str(weight / total)))
+            for weight in weights
         )
-        total = sum(clipped)
-        if total <= 0.0:
-            clipped = tuple(1.0 for _ in order)
-            total = float(len(order))
-        return AllocationEntry(
-            field=field, amount=amount, weights=clipped, total=total
+        for amount, weights, total in payload
+    )
+
+
+def merge_plan(
+    entries: Sequence[AllocationEntry],
+    n: int,
+    shard_products: Optional[Sequence[_Products]] = None,
+) -> List[Dict[str, Decimal]]:
+    """Evaluate a plan: every tenant's field sums, exactly.
+
+    ``shard_products`` are :func:`plan_products` results for
+    contiguous tenant ranges covering all ``n`` tenants in order
+    (``None`` evaluates the whole plan as one shard).  Per entry, the
+    merge replays :func:`allocate_exactly`'s sequential running sum in
+    global tenant order and gives the globally-last tenant the exact
+    residual — the same Decimal operations in the same order for any
+    sharding, so the result is the same bytes.  Field sums start from
+    ``ZERO``'s amount (its exponent is part of every result) and stay
+    raw ``Decimal``\\ s; callers wrap them in ``Money``.
+    """
+    if shard_products is None:
+        shard_products = (
+            plan_products(
+                [(entry.amount, entry.weights, entry.total) for entry in entries]
+            ),
         )
+    add, subtract = _CTX.add, _CTX.subtract
+    sums: List[Dict[str, Decimal]] = [
+        dict.fromkeys(PLAN_FIELDS, ZERO.amount) for _ in range(n)
+    ]
+    last = n - 1
+    for entry_index, entry in enumerate(entries):
+        field = entry.field
+        running = ZERO.amount
+        position = 0
+        for products in shard_products:
+            for share in products[entry_index]:
+                if position == last:
+                    break
+                row = sums[position]
+                row[field] = add(row[field], share)
+                running = add(running, share)
+                position += 1
+        sums[last][field] = add(
+            sums[last][field], subtract(entry.amount.amount, running)
+        )
+    return sums
 
-    def component_plan(
-        self,
-        problem: SelectionProblem,
-        record: EpochRecord,
-        breakdown: CostBreakdown,
-        tenants: Optional[Sequence[str]] = None,
-    ) -> Tuple[Tuple[AllocationEntry, ...], Dict[str, float]]:
-        """One epoch's splits, flattened for sharded execution.
 
-        Returns ``(entries, hours)``: the exact
-        :func:`allocate_exactly` calls :meth:`attribute` would make,
-        as :class:`AllocationEntry` records in a fixed order (storage
-        contributes two entries — base then view share — both landing
-        on ``storage_cost``), plus each active tenant's processing
-        hours.  :class:`~repro.simulate.sharding.ShardedAttribution`
-        evaluates the entries' per-tenant products across worker
-        shards and reassembles the sequential residual, reproducing
-        :meth:`attribute`'s records byte for byte.
-        """
-        active = self._active(tenants)
-        inputs = problem.inputs
-        entries: List[AllocationEntry] = []
-        if record.segments:
-            hours = {name: 0.0 for name in active}
-            cycles = inputs.deployment.maintenance_cycles
-            base_storage_full = storage_cost(
-                inputs.deployment.provider.storage, inputs.base_timeline
+def tenant_records(
+    record: EpochRecord,
+    active: Sequence[str],
+    hours: Mapping[str, float],
+    sums: Sequence[Mapping[str, Decimal]],
+) -> Iterator[TenantEpochRecord]:
+    """An evaluated plan's per-tenant records, books checked.
+
+    ``sums`` are :func:`merge_plan`'s rows for the ``active`` tenants.
+    Yields the epoch's records in tenant order (active split first,
+    then departure settlements), after verifying that every
+    component's shares sum exactly to the fleet record — the
+    per-epoch half of the sum-to-fleet-ledger invariant.
+
+    The record's churn charges are direct, not shared: each arrival's
+    onboarding lands 100% on the arriving tenant's record, and each
+    departure yields a settlement-only record (all shares zero,
+    ``offboarding_cost`` set) for a tenant no longer in the active
+    set.  An arrival outside the split, or a departure still inside
+    it, is a bookkeeping contradiction and raises.
+    """
+    arrivals = dict(record.arrivals)
+    missing = set(arrivals).difference(active)
+    if missing:
+        raise SimulationError(
+            f"epoch {record.epoch}: arrival charges for "
+            f"{sorted(missing)!r}, which are not in the active split"
+        )
+    add = _CTX.add
+    checks = dict.fromkeys(PLAN_FIELDS, ZERO.amount)
+    produced = []
+    for name, row in zip(active, sums):
+        for field, amount in row.items():
+            checks[field] = add(checks[field], amount)
+        produced.append(
+            TenantEpochRecord(
+                epoch=record.epoch,
+                tenant=name,
+                processing_hours=hours[name],
+                onboarding_cost=arrivals.get(name, ZERO),
+                **{field: Money(amount) for field, amount in row.items()},
             )
-            end_users: Mapping[str, Mapping[str, float]] = {}
-            for segment in record.segments:
-                subset = frozenset(segment.subset)
-                bd = problem.evaluate(subset).breakdown
-                processing, egress, users = self._direct_weights(
-                    problem, subset, active
-                )
-                infrastructure = self._infrastructure_weights(
-                    processing, active
-                )
-                end_users = users
-                fraction = segment.fraction
-
-                def scaled(amount: Money) -> Money:
-                    return amount if fraction == 1.0 else amount * fraction
-
-                ordered = sorted(subset)
-                maintenance_amounts = {
-                    name: inputs.view_stats[name].maintenance_hours_per_cycle
-                    * cycles
-                    for name in ordered
-                }
-                size_amounts = {
-                    name: inputs.view_stats[name].size_gb for name in ordered
-                }
-                entries += [
-                    self._plan_entry(
-                        "processing_cost",
-                        scaled(bd.computing.processing_cost),
-                        processing, active,
-                    ),
-                    self._plan_entry(
-                        "transfer_cost", scaled(bd.transfer), egress, active
-                    ),
-                    self._plan_entry(
-                        "maintenance_cost",
-                        scaled(bd.computing.maintenance_cost),
-                        self._view_weights(
-                            maintenance_amounts, users, infrastructure,
-                            active,
-                        ),
-                        active,
-                    ),
-                    self._plan_entry(
-                        "storage_cost",
-                        scaled(base_storage_full),
-                        infrastructure, active,
-                    ),
-                    self._plan_entry(
-                        "storage_cost",
-                        scaled(bd.storage - base_storage_full),
-                        self._view_weights(
-                            size_amounts, users, infrastructure, active
-                        ),
-                        active,
-                    ),
-                ]
-                for name in active:
-                    hours[name] += processing[name] * fraction
-            epoch_infrastructure = self._infrastructure_weights(
-                hours, active
+        )
+    _verify_epoch(record, checks)
+    yield from produced
+    active_set = set(active)
+    for tenant, amount in record.departures:
+        if tenant in active_set:
+            raise SimulationError(
+                f"epoch {record.epoch}: departure settlement for "
+                f"{tenant!r}, which is still in the active split"
             )
-            build_amounts = {
-                name: inputs.view_stats[name].materialization_hours
-                for name in record.views_built
-            }
-            entries += [
-                self._plan_entry(
-                    "build_cost",
-                    record.build_cost,
-                    self._view_weights(
-                        build_amounts, end_users, epoch_infrastructure,
-                        active,
-                    ),
-                    active,
-                ),
-                self._plan_entry(
-                    "teardown_cost", record.teardown_cost,
-                    epoch_infrastructure, active,
-                ),
-                self._plan_entry(
-                    "migration_cost", record.migration_cost,
-                    epoch_infrastructure, active,
-                ),
-                self._plan_entry(
-                    "cancelled_cost", record.cancelled_cost,
-                    epoch_infrastructure, active,
-                ),
-            ]
-            return tuple(entries), hours
+        yield TenantEpochRecord(
+            epoch=record.epoch,
+            tenant=tenant,
+            processing_cost=ZERO,
+            transfer_cost=ZERO,
+            maintenance_cost=ZERO,
+            storage_cost=ZERO,
+            build_cost=ZERO,
+            teardown_cost=ZERO,
+            processing_hours=0.0,
+            offboarding_cost=amount,
+        )
 
-        subset = frozenset(record.subset)
-        built = frozenset(record.views_built)
-        plan = inputs.plan_for(subset)
-        processing, egress, users = self._direct_weights(
-            problem, subset, active
-        )
-        infrastructure = self._infrastructure_weights(processing, active)
-        ordered = sorted(subset)
-        cycles = inputs.deployment.maintenance_cycles
-        maintenance_amounts = {
-            name: inputs.view_stats[name].maintenance_hours_per_cycle * cycles
-            for name in ordered
-        }
-        build_amounts = {
-            name: hours
-            for name, hours in zip(ordered, plan.materialization_hours)
-            if name in built and hours > 0.0
-        }
-        size_amounts = {
-            name: inputs.view_stats[name].size_gb for name in ordered
-        }
-        base_storage = storage_cost(
-            inputs.deployment.provider.storage, plan.base_timeline
-        )
-        view_storage = breakdown.storage - base_storage
-        entries += [
-            self._plan_entry(
-                "processing_cost",
-                breakdown.computing.processing_cost,
-                processing, active,
-            ),
-            self._plan_entry(
-                "transfer_cost", breakdown.transfer, egress, active
-            ),
-            self._plan_entry(
-                "maintenance_cost",
-                breakdown.computing.maintenance_cost,
-                self._view_weights(
-                    maintenance_amounts, users, infrastructure, active
-                ),
-                active,
-            ),
-            self._plan_entry(
-                "storage_cost", base_storage, infrastructure, active
-            ),
-            self._plan_entry(
-                "storage_cost",
-                view_storage,
-                self._view_weights(
-                    size_amounts, users, infrastructure, active
-                ),
-                active,
-            ),
-            self._plan_entry(
-                "build_cost",
-                breakdown.computing.materialization_cost,
-                self._view_weights(
-                    build_amounts, users, infrastructure, active
-                ),
-                active,
-            ),
-            self._plan_entry(
-                "teardown_cost", record.teardown_cost,
-                infrastructure, active,
-            ),
-            self._plan_entry(
-                "migration_cost", record.migration_cost,
-                infrastructure, active,
-            ),
-            self._plan_entry(
-                "cancelled_cost", record.cancelled_cost,
-                infrastructure, active,
-            ),
-        ]
-        return tuple(entries), processing
+
+def _verify_epoch(record: EpochRecord, checks: Mapping[str, Decimal]) -> None:
+    """The per-epoch books-balance check, against the fleet record."""
+    add = _CTX.add
+    operating = add(
+        add(
+            add(checks["processing_cost"], checks["transfer_cost"]),
+            checks["maintenance_cost"],
+        ),
+        checks["storage_cost"],
+    )
+    expected = (
+        ("operating", record.operating_cost, operating),
+        ("build", record.build_cost, checks["build_cost"]),
+        ("teardown", record.teardown_cost, checks["teardown_cost"]),
+        ("migration", record.migration_cost, checks["migration_cost"]),
+        ("cancelled", record.cancelled_cost, checks["cancelled_cost"]),
+    )
+    for component, fleet_amount, tenant_sum in expected:
+        if fleet_amount.amount != tenant_sum:
+            raise SimulationError(
+                f"epoch {record.epoch}: attributed {component} shares "
+                f"sum to {Money(tenant_sum)}, fleet charged {fleet_amount}"
+            )

@@ -20,9 +20,9 @@ conservation invariant the tests and docs exercise.
 Wall-clock conversion: a job of ``hours`` compute-hours occupies one
 slot for ``hours / hours_per_month`` months (the default is
 :data:`repro.units.HOURS_PER_MONTH`).  ``hours_per_month = inf``
-makes every build instantaneous — the configuration under which the
-async simulator must reproduce the synchronous ledgers byte for byte,
-the invariant the parity tests enforce.
+makes every build instantaneous — the configuration behind the
+simulator's ``builds=None``, under which every epoch bills one full
+period of its decided subset (pinned by the golden-ledger tests).
 
 Everything here is deterministic: jobs are sequenced at submission,
 ties (equal finish times, equal durations) break by submission order,
@@ -372,9 +372,10 @@ class BuildConfig:
     discipline:
         One of :data:`BUILD_DISCIPLINES` (``--build-discipline``).
     hours_per_month:
-        Wall-clock conversion; ``inf`` gives instant builds, under
-        which the async simulator reproduces the synchronous ledgers
-        byte-identically (the parity invariant).
+        Wall-clock conversion; ``inf`` gives instant builds — what
+        the simulator's ``builds=None`` means — so every slot count
+        and discipline yields the same ledgers (the parity
+        invariant).
     """
 
     slots: int = 1

@@ -741,8 +741,8 @@ def async_sales_simulator(
     ``hours_per_month`` overrides the wall-clock conversion (default
     :data:`repro.units.HOURS_PER_MONTH`); pass ``float("inf")`` for
     instant builds, under which this preset reproduces
-    :func:`drifting_sales_simulator`'s ledgers byte-identically — the
-    sync-parity invariant.
+    :func:`drifting_sales_simulator`'s (``builds=None``) ledgers
+    byte-identically — the parity invariant.
     """
     config = (
         BuildConfig(slots=build_slots, discipline=build_discipline)

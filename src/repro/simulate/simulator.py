@@ -23,12 +23,11 @@ carried views are zeroed out of the cascade's build plan, which
 slightly overstates a rebuild that could have cascaded off a carried
 view — the conservative direction.
 
-Asynchronous execution (pass a :class:`~repro.simulate.builds.
-BuildConfig`) decouples the decision from the epoch clock: a decided
-build enters a :class:`~repro.simulate.builds.BuildQueue` and lands
-only after its wall-clock duration (``materialization_hours``
-converted to months).  Until it lands, queries are answered from the
-*previous* holdings; once it lands mid-epoch, the epoch is split into
+One epoch loop, one build queue.  Every decided build enters a
+:class:`~repro.simulate.builds.BuildQueue` and lands after its
+wall-clock duration (``materialization_hours`` converted to months).
+Until it lands, queries are answered from the *previous* holdings;
+once it lands mid-epoch, the epoch is split into
 :class:`~repro.simulate.ledger.EpochSegment`\\ s at the completion
 instants and each segment bills its holdings' full-period operating
 charge scaled by the period fraction — all through the same
@@ -36,10 +35,12 @@ subset-evaluation cache.  Build compute is billed in the epoch the
 build *completes*; an in-flight build whose view a later decision
 drops is cancelled with only its sunk compute billed
 (``cancelled_cost``), and builds still in flight when the horizon
-ends are likewise closed out at sunk cost.  With instant builds
-(``hours_per_month = inf``) every decision lands at its own epoch's
-start and the async ledger reproduces the synchronous one byte for
-byte — the parity invariant the tests enforce.
+ends are likewise closed out at sunk cost.  ``builds=None`` means
+instant builds (``hours_per_month = inf``): every decision lands at
+its own epoch's start, so each epoch is one full segment holding the
+decided subset and bills exactly one deployment period of it — the
+paper's synchronous regime, reached through the same loop, and
+pinned byte for byte by the golden-ledger tests.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from typing import (
 
 from ..costmodel.computing import view_computing_cost
 from ..costmodel.estimator import PlanningInputs
+from ..costmodel.params import DeploymentSpec
 from ..costmodel.total import CostBreakdown
 from ..cube.candidates import enumerate_candidates
 from ..cube.lattice import CuboidLattice
@@ -73,7 +75,11 @@ from ..explain import (
 )
 from ..explain import current as current_explain
 from ..money import Money, ZERO
-from ..optimizer.problem import SelectionProblem, SubsetEvaluationCache
+from ..optimizer.problem import (
+    EvaluationStats,
+    SelectionProblem,
+    SubsetEvaluationCache,
+)
 from ..pricing.migration import migration_transfer_cost, migration_volume_gb
 from ..pricing.providers import Provider
 from ..telemetry import current as current_telemetry
@@ -123,7 +129,7 @@ class EpochObserver(Protocol):
         The epoch's priced :class:`~repro.costmodel.total.
         CostBreakdown` with materialization narrowed to the views
         built this epoch — the exact numbers the record's charges came
-        from.  On segmented async epochs it is the *last* segment's
+        from.  On segmented epochs it is the *last* segment's
         breakdown (the epoch-end holdings).
 
     Observers must not raise (an exception aborts the run) and must
@@ -142,6 +148,11 @@ class EpochObserver(Protocol):
     ) -> None:
         """Consume one accounted epoch."""
         ...
+
+
+#: The queue behind ``builds=None``: every build lands the instant it
+#: is submitted, so each epoch bills one full period of its decision.
+_INSTANT = BuildConfig(hours_per_month=float("inf"))
 
 
 def compose_observers(
@@ -244,6 +255,7 @@ class LifecycleSimulator:
         self._builder = EpochProblemBuilder(catalogue, cache)
         self._charge_teardown = charge_teardown_egress
         self._builds = builds
+        self._queue_config = builds if builds is not None else _INSTANT
 
     # -- accessors ------------------------------------------------------
 
@@ -264,7 +276,7 @@ class LifecycleSimulator:
 
     @property
     def builds(self) -> Optional[BuildConfig]:
-        """The build-queue configuration (``None`` = synchronous)."""
+        """The build-queue configuration (``None`` = instant builds)."""
         return self._builds
 
     # -- the run --------------------------------------------------------
@@ -284,41 +296,67 @@ class LifecycleSimulator:
         layer uses this hook to attribute each epoch's charges without
         the core loop knowing tenants exist.
 
-        With a build configuration (``builds=...``) the run is
-        asynchronous — see :meth:`_run_async`; without one, this is
-        the classic synchronous loop, bit-for-bit unchanged.
+        The policy always sees its previous *decision* as ``current``;
+        what the build queue changes is when a decision takes physical
+        effect:
+
+        * decided builds are submitted to the queue and land after
+          their wall-clock duration — possibly epochs later;
+        * queries are answered from the views actually live, so an
+          epoch is split at every landing instant and each segment
+          bills its holdings' prorated operating charge;
+        * build compute is billed in the landing epoch; a build whose
+          view a later decision drops is cancelled at sunk cost;
+        * a provider migration cancels every in-flight build (it
+          targeted the old book) and re-queues the whole subset on
+          the target.
+
+        With instant builds (``builds=None``) every submission lands
+        at its own epoch's start, every epoch is one full segment
+        holding exactly the decision, and each epoch bills one
+        deployment period of the decided subset.
         """
-        if self._builds is not None:
-            return self._run_async(policy, observer)
         telemetry = current_telemetry()
         explain = current_explain()
         ledger = SimulationLedger(policy.describe())
         state = self._initial
+        queue = self._queue_config.queue()
+        live: FrozenSet[str] = frozenset()
         current: Optional[FrozenSet[str]] = None
         previous_record: Optional[EpochRecord] = None
         previous_problem: Optional[SelectionProblem] = None
+        last_index = self._clock.n_epochs - 1
         stats_before = self._builder.evaluation_stats()
         for epoch in self._clock:
             fired = self._timeline.at(epoch.index)
             # Provenance capture: after each event applies, the
             # (event, intermediate state) pair — the telescoping chain
-            # the explain layer later re-prices to attribute the
+            # the explain layer later re-prices, at the subset
+            # physically live at epoch start, to attribute the
             # operating delta per event.  Capture is two pointer
             # stores; classification, description, and pricing all
             # happen at log-read time (emit_deferred).  None when
             # explain is off, so the disabled path allocates nothing.
+            baseline_live = live if previous_record is not None else None
             chain = [] if explain.enabled else None
             # Each migration hop is billed from the book it actually
             # leaves — captured at apply time, because earlier events
             # in the same epoch (a forced PriceChange, another hop)
             # may already have moved the warehouse.
             hops = []
+            # Sunk compute of builds a migration abandons was burned on
+            # the book being *left*: remember the deployment as it
+            # stood before the first hop, so cancellations bill at the
+            # rates the compute actually ran under.
+            pre_hop_deployment = None
             arrived = []
             departures = []
             settle_inputs = None
             for event in fired:
                 if isinstance(event, ProviderMigration):
                     settle_inputs = None
+                    if pre_hop_deployment is None:
+                        pre_hop_deployment = state.deployment
                     source = state.deployment.provider
                     state = event.apply(state)
                     hops.append((source, state.deployment.provider))
@@ -344,6 +382,15 @@ class LifecycleSimulator:
                         arrived.append(event)
                 if chain is not None:
                     chain.append((event, state))
+            # Policies observe what physically exists and how deep the
+            # queue is.  Holdings never enter pricing, so the state is
+            # restated only when they changed (with instant builds:
+            # only on epochs after the decided subset moved).
+            pending = queue.pending_views()
+            if state.holdings.live != live or state.holdings.pending != pending:
+                state = state.with_holdings(
+                    Holdings(live=live, pending=pending)
+                )
             problem = self._builder.problem_for(state)
             arrivals = tuple(
                 self._price_arrival(problem, event) for event in arrived
@@ -362,6 +409,8 @@ class LifecycleSimulator:
             if decision.migration is not None:
                 # A policy-decided switch: the state follows the
                 # decision, and the epoch is accounted on the target.
+                if pre_hop_deployment is None:
+                    pre_hop_deployment = state.deployment
                 source = state.deployment.provider
                 state = decision.migration.apply(state)
                 hops.append((source, state.deployment.provider))
@@ -369,47 +418,84 @@ class LifecycleSimulator:
                 described.append(decision.migration.describe())
                 if chain is not None:
                     chain.append((decision.migration, state))
-            held = current if current is not None else frozenset()
-            dropped = held - decision.subset
+            target = decision.subset
+            live_at_start = live
+            # In-flight builds the decision no longer wants are
+            # abandoned at sunk cost; a migration abandons all of them
+            # (they were building for the book being left).  Nothing
+            # touched the queue since ``pending`` was taken.
+            doomed = pending if hops else pending - target
+            cancellations = list(queue.cancel(doomed, epoch.start_month))
+            dropped = live - target
+            live = live & target
             if hops:
-                # Views are not portable between providers: everything
-                # kept through the move is re-materialized (and billed)
-                # on the target, and the warehouse as it stood —
-                # dataset plus held views — is shipped across, once
-                # per hop.
-                built = frozenset(decision.subset)
+                # Views are not portable between providers: ship the
+                # warehouse as it physically stands — dataset plus
+                # live views, once per hop — then rebuild the whole
+                # target subset from scratch on the new book.
                 migration_cost = ZERO
-                for source, target in hops:
+                for source, hop_target in hops:
                     migration_cost = migration_cost + self._migration_cost(
-                        source, target, problem, held
+                        source, hop_target, problem, live_at_start
                     )
                 migrated_to = state.deployment.provider.name
+                live = frozenset()
             else:
-                built = decision.subset - held
                 migration_cost = ZERO
                 migrated_to = None
-            with telemetry.span("epoch.account", epoch=epoch.index):
-                record, breakdown = self._account(
-                    epoch.index, problem, decision.subset, built, dropped,
-                    decision.reoptimized, decision.regret, tuple(described),
-                    migration_cost, migrated_to,
-                    arrivals=arrivals, departures=tuple(departures),
+            # Submit what the decision wants but the warehouse neither
+            # has nor is already building; durations come from this
+            # epoch's cost model and are frozen into the job.
+            plan = problem.inputs.plan_for(target)
+            wanted = target - live - (pending - doomed)
+            if wanted:
+                hours_by_view = dict(
+                    zip(sorted(target), plan.materialization_hours)
                 )
-            record, stats_before = self._finish_epoch(
-                telemetry, record, stats_before
-            )
+                for view in sorted(wanted):
+                    queue.submit(
+                        BuildJob(
+                            view=view,
+                            hours=hours_by_view[view],
+                            submitted_month=epoch.start_month,
+                        )
+                    )
+            completions = queue.advance_to(epoch.end_month)
+            if epoch.index == last_index:
+                # The horizon ends with builds in flight: close them
+                # out at sunk cost so no compute silently vanishes.
+                cancellations.extend(
+                    queue.cancel(queue.pending_views(), epoch.end_month)
+                )
+            delayed = queue.drain_delayed_starts()
+            with telemetry.span("epoch.account", epoch=epoch.index):
+                record, breakdown, live, stats_before = self._account_epoch(
+                    epoch, problem, plan, decision, live, dropped,
+                    completions, cancellations, delayed, described,
+                    migration_cost, migrated_to,
+                    cancel_deployment=(
+                        pre_hop_deployment
+                        if pre_hop_deployment is not None
+                        else problem.inputs.deployment
+                    ),
+                    arrivals=arrivals,
+                    departures=tuple(departures),
+                    stats_before=stats_before,
+                )
+            if telemetry.enabled:
+                self._observe_epoch(telemetry, record)
             ledger.append(record)
             if observer is not None:
                 observer(record, problem, breakdown)
             if explain.enabled:
                 self._emit_explain(
                     explain, ledger.policy_name, decision, record,
-                    previous_record, current, current,
+                    previous_record, current, baseline_live,
                     chain, problem, previous_problem,
                 )
             previous_record = record
             previous_problem = problem
-            current = decision.subset
+            current = target
         return ledger
 
     def _emit_explain(
@@ -445,10 +531,9 @@ class LifecycleSimulator:
 
         ``previous_subset`` is the incumbent the *policy* saw (its
         ``current``); ``baseline_subset`` is the subset the
-        telescoping event chain is priced with — the same thing on
-        synchronous runs, but the physically *live* holdings at epoch
-        start on asynchronous ones (``None`` on the first epoch — no
-        chain).  ``chain`` holds ``(event, state)`` snapshots taken
+        telescoping event chain is priced with — the physically *live*
+        holdings at epoch start, the same thing with instant builds
+        (``None`` on the first epoch — no chain).  ``chain`` holds ``(event, state)`` snapshots taken
         after each event applied.
 
         ``problem`` and ``previous_problem`` are the epoch's and the
@@ -568,218 +653,21 @@ class LifecycleSimulator:
         problem = self._builder.problem_for(state)
         return _subset_operating_cost(problem, subset)
 
-    def _finish_epoch(self, telemetry, record, stats_before):
-        """Stamp the epoch's cache deltas on its record; emit metrics.
+    @staticmethod
+    def _observe_epoch(telemetry, record: EpochRecord) -> None:
+        """Emit one accounted epoch's metrics (telemetry enabled)."""
+        telemetry.inc("simulator.epochs")
+        if record.reoptimized:
+            telemetry.inc("simulator.reoptimizations")
+        if record.migrated_to is not None:
+            telemetry.inc("simulator.migrations")
+        telemetry.inc("cache.hits", record.cache_hits)
+        telemetry.inc("cache.subsets_priced", record.subsets_priced)
+        telemetry.observe("simulator.epoch_cost", record.total_cost)
 
-        Returns the amended record and the new stats baseline.  The
-        cache fields are computed whether or not telemetry is enabled
-        — they are ledger data, and both execution paths derive them
-        the same way, so sync/instant-async record equality is kept.
-        """
-        stats_after = self._builder.evaluation_stats()
-        record = replace(
-            record,
-            cache_hits=stats_after.hits - stats_before.hits,
-            subsets_priced=stats_after.priced - stats_before.priced,
-        )
-        if telemetry.enabled:
-            telemetry.inc("simulator.epochs")
-            if record.reoptimized:
-                telemetry.inc("simulator.reoptimizations")
-            if record.migrated_to is not None:
-                telemetry.inc("simulator.migrations")
-            telemetry.inc("cache.hits", record.cache_hits)
-            telemetry.inc("cache.subsets_priced", record.subsets_priced)
-            telemetry.observe("simulator.epoch_cost", record.total_cost)
-        return record, stats_after
+    # -- epoch accounting ----------------------------------------------
 
-    # -- the asynchronous run ------------------------------------------
-
-    def _run_async(
-        self,
-        policy: ReselectionPolicy,
-        observer: Optional[EpochObserver] = None,
-    ) -> SimulationLedger:
-        """Simulate with wall-clock builds through a :class:`BuildQueue`.
-
-        The decision loop is identical to the synchronous run (the
-        policy still sees its previous *decision* as ``current``, so
-        the same policy makes the same choices); what changes is when
-        a decision takes physical effect:
-
-        * decided builds are submitted to the queue and land after
-          their wall-clock duration — possibly epochs later;
-        * queries are answered from the views actually live, so an
-          epoch is split at every landing instant and each segment
-          bills its holdings' prorated operating charge;
-        * build compute is billed in the landing epoch; a build whose
-          view a later decision drops is cancelled at sunk cost;
-        * a provider migration cancels every in-flight build (it
-          targeted the old book) and re-queues the whole subset on
-          the target.
-
-        With instant builds every submission lands at its own epoch's
-        start and this loop reproduces :meth:`run`'s ledger exactly.
-        """
-        telemetry = current_telemetry()
-        explain = current_explain()
-        ledger = SimulationLedger(policy.describe())
-        state = self._initial
-        queue = self._builds.queue()
-        live: FrozenSet[str] = frozenset()
-        current: Optional[FrozenSet[str]] = None
-        previous_record: Optional[EpochRecord] = None
-        previous_problem: Optional[SelectionProblem] = None
-        last_index = self._clock.n_epochs - 1
-        stats_before = self._builder.evaluation_stats()
-        for epoch in self._clock:
-            fired = self._timeline.at(epoch.index)
-            # Provenance capture (see run()); the async chain is
-            # priced at the subset physically live at epoch start.
-            baseline_live = live if previous_record is not None else None
-            chain = [] if explain.enabled else None
-            hops = []
-            # Sunk compute of builds a migration abandons was burned on
-            # the book being *left*: remember the deployment as it
-            # stood before the first hop, so cancellations bill at the
-            # rates the compute actually ran under.
-            pre_hop_deployment = None
-            arrived = []
-            departures = []
-            settle_inputs = None
-            for event in fired:
-                if isinstance(event, ProviderMigration):
-                    settle_inputs = None
-                    if pre_hop_deployment is None:
-                        pre_hop_deployment = state.deployment
-                    source = state.deployment.provider
-                    state = event.apply(state)
-                    hops.append((source, state.deployment.provider))
-                elif isinstance(event, TenantDeparture):
-                    if settle_inputs is None:
-                        settle_inputs = self._builder.problem_for(
-                            state
-                        ).inputs
-                    departures.append(
-                        self._settle_departure(state, event, settle_inputs)
-                    )
-                    state = event.apply(state)
-                else:
-                    settle_inputs = None
-                    state = event.apply(state)
-                    if isinstance(event, TenantArrival):
-                        arrived.append(event)
-                if chain is not None:
-                    chain.append((event, state))
-            epoch_holdings = Holdings(
-                live=live, pending=queue.pending_views()
-            )
-            state = state.with_holdings(epoch_holdings)
-            problem = self._builder.problem_for(state)
-            arrivals = tuple(
-                self._price_arrival(problem, event) for event in arrived
-            )
-            context = EpochContext(state=state, builder=self._builder)
-            with explain.scope(epoch.index, ledger.policy_name):
-                with telemetry.span(
-                    "epoch.decide",
-                    epoch=epoch.index,
-                    policy=ledger.policy_name,
-                ):
-                    decision = policy.decide_in_context(
-                        epoch.index, problem, current, context
-                    )
-            described = [e.describe() for e in fired]
-            if decision.migration is not None:
-                if pre_hop_deployment is None:
-                    pre_hop_deployment = state.deployment
-                source = state.deployment.provider
-                state = decision.migration.apply(state)
-                hops.append((source, state.deployment.provider))
-                problem = self._builder.problem_for(state)
-                described.append(decision.migration.describe())
-                if chain is not None:
-                    chain.append((decision.migration, state))
-            target = decision.subset
-            live_at_start = live
-            # In-flight builds the decision no longer wants are
-            # abandoned at sunk cost; a migration abandons all of them
-            # (they were building for the book being left).
-            doomed = (
-                queue.pending_views()
-                if hops
-                else queue.pending_views() - target
-            )
-            cancellations = list(queue.cancel(doomed, epoch.start_month))
-            dropped = live - target
-            live = live & target
-            if hops:
-                # Views are not portable between providers: ship the
-                # warehouse as it physically stands, then rebuild the
-                # whole target subset from scratch on the new book.
-                migration_cost = ZERO
-                for source, hop_target in hops:
-                    migration_cost = migration_cost + self._migration_cost(
-                        source, hop_target, problem, live_at_start
-                    )
-                migrated_to = state.deployment.provider.name
-                live = frozenset()
-            else:
-                migration_cost = ZERO
-                migrated_to = None
-            # Submit what the decision wants but the warehouse neither
-            # has nor is already building; durations come from this
-            # epoch's cost model and are frozen into the job.
-            plan = problem.inputs.plan_for(target)
-            hours_by_view = dict(
-                zip(sorted(target), plan.materialization_hours)
-            )
-            for view in sorted(target - live - queue.pending_views()):
-                queue.submit(
-                    BuildJob(
-                        view=view,
-                        hours=hours_by_view[view],
-                        submitted_month=epoch.start_month,
-                    )
-                )
-            completions = list(queue.advance_to(epoch.end_month))
-            if epoch.index == last_index:
-                # The horizon ends with builds in flight: close them
-                # out at sunk cost so no compute silently vanishes.
-                cancellations.extend(
-                    queue.cancel(queue.pending_views(), epoch.end_month)
-                )
-            delayed = queue.drain_delayed_starts()
-            with telemetry.span("epoch.account", epoch=epoch.index):
-                record, breakdown, live = self._account_async(
-                    epoch, problem, plan, decision, live, dropped,
-                    completions, cancellations, delayed, tuple(described),
-                    migration_cost, migrated_to,
-                    cancel_deployment=(
-                        pre_hop_deployment
-                        if pre_hop_deployment is not None
-                        else problem.inputs.deployment
-                    ),
-                    arrivals=arrivals, departures=tuple(departures),
-                )
-            record, stats_before = self._finish_epoch(
-                telemetry, record, stats_before
-            )
-            ledger.append(record)
-            if observer is not None:
-                observer(record, problem, breakdown)
-            if explain.enabled:
-                self._emit_explain(
-                    explain, ledger.policy_name, decision, record,
-                    previous_record, current, baseline_live,
-                    chain, problem, previous_problem,
-                )
-            previous_record = record
-            previous_problem = problem
-            current = target
-        return ledger
-
-    def _account_async(
+    def _account_epoch(
         self,
         epoch: Epoch,
         problem: SelectionProblem,
@@ -790,24 +678,32 @@ class LifecycleSimulator:
         completions,
         cancellations,
         delayed_starts,
-        described: Tuple[str, ...],
+        described: Sequence[str],
         migration_cost: Money,
         migrated_to: Optional[str],
-        cancel_deployment=None,
-        arrivals: Tuple[Tuple[str, Money], ...] = (),
-        departures: Tuple[Tuple[str, Money], ...] = (),
-    ) -> Tuple[EpochRecord, CostBreakdown, FrozenSet[str]]:
-        """Price one asynchronous epoch; returns the epoch-end holdings.
+        cancel_deployment: DeploymentSpec,
+        arrivals: Tuple[Tuple[str, Money], ...],
+        departures: Tuple[Tuple[str, Money], ...],
+        stats_before: EvaluationStats,
+    ) -> Tuple[EpochRecord, CostBreakdown, FrozenSet[str], EvaluationStats]:
+        """Price one epoch into its ledger record.
+
+        Returns ``(record, breakdown, epoch-end holdings, evaluation
+        stats)``; the record's cache counters are the evaluation
+        deltas since ``stats_before``, which the caller threads into
+        the next epoch.
 
         The epoch is cut at every landing instant into segments of
         constant live holdings.  When the single resulting segment
-        already equals the decision's subset — instant builds, or an
-        epoch with nothing in flight — accounting is delegated to the
-        synchronous :meth:`_account`, which is what makes zero-latency
-        parity exact rather than approximate.
+        already equals the decision's subset and every landing was
+        submitted this epoch — always, with instant builds — the
+        epoch is one full deployment period of the subset, billed by
+        :meth:`_account`.  Otherwise each segment bills its holdings'
+        prorated operating charge and landed builds bill at the hours
+        frozen into their jobs.
 
         ``plan`` is the caller's already-computed
-        ``inputs.plan_for(target)`` (reused, not recomputed);
+        ``inputs.plan_for(decision.subset)`` (reused, not recomputed);
         ``cancel_deployment`` is the deployment whose rates sunk
         compute is billed at — the pre-migration book on migration
         epochs, the epoch's own deployment otherwise.
@@ -825,7 +721,6 @@ class LifecycleSimulator:
             holdings = holdings | {completion.job.view}
         if seg_start < epoch.end_month or not runs:
             runs.append((seg_start, epoch.end_month, holdings))
-        live_at_end = holdings
 
         # -- ledger marks: only the asynchrony is worth narrating ------
         marks = list(described)
@@ -854,84 +749,63 @@ class LifecycleSimulator:
         cancelled_names = tuple(sorted(c.job.view for c in cancellations))
         latency = sum(c.latency_months for c in completions)
 
-        single_full = (
+        segments = []
+        # A landing submitted this epoch carries this plan's hours, so
+        # billing the plan's materialization for ``built`` is exact.
+        # (No earlier submission can land at the epoch's start: it
+        # would have landed by the previous epoch's end, the same
+        # instant.)
+        if (
             len(runs) == 1
             and runs[0][2] == target
             and not sunk_hours
-            and sum(c.job.hours for c in completions)
-            == sum(
-                hours
-                for name, hours in zip(
-                    sorted(target), plan.materialization_hours
-                )
-                if name in built
+            and all(
+                c.job.submitted_month == epoch.start_month
+                for c in completions
             )
-        )
-        if single_full:
-            # The decision's subset was live for the whole period and
-            # every landing was this epoch's own instant build: the
-            # synchronous accounting applies verbatim (byte parity).
-            record, breakdown = self._account(
-                epoch.index, problem, target, built, dropped,
-                decision.reoptimized, decision.regret, tuple(marks),
-                migration_cost, migrated_to, plan=plan,
-                arrivals=arrivals, departures=departures,
-            )
-            if cancelled_names or latency:
-                record = replace(
-                    record,
-                    views_cancelled=cancelled_names,
-                    build_latency_months=latency,
-                )
-            return record, breakdown, live_at_end
-
-        # -- general path: prorated segments + completion billing ------
-        fractions = tile_fractions(
-            [end - start for start, end, _ in runs], epoch.months
-        )
-        operating = ZERO
-        hours = 0.0
-        segments = []
-        breakdown = None
-        for (start, end, held), fraction in zip(runs, fractions):
-            breakdown = problem.evaluate(held).breakdown
-            full = breakdown.total - breakdown.computing.materialization_cost
-            operating = operating + (
-                full if fraction == 1.0 else full * fraction
-            )
-            hours += breakdown.processing_hours * fraction
-            segments.append(
-                EpochSegment(
-                    start_month=start,
-                    months=end - start,
-                    fraction=fraction,
-                    subset=tuple(sorted(held)),
-                )
-            )
-        inputs = problem.inputs
-        build_cost = self._compute_bill(
-            inputs.deployment, sum(c.job.hours for c in completions)
-        )
-        cancelled_cost = self._compute_bill(
-            cancel_deployment if cancel_deployment is not None
-            else inputs.deployment,
-            sunk_hours,
-        )
-        if dropped and self._charge_teardown:
-            dropped_gb = sum(
-                inputs.view_stats[name].size_gb for name in dropped
-            )
-            teardown_cost = (
-                inputs.deployment.provider.transfer.outbound_cost(dropped_gb)
-            )
+        ):
+            breakdown = self._account(problem, plan, target, built)
+            build_cost = breakdown.computing.materialization_cost
+            operating = breakdown.total - build_cost
+            hours = breakdown.processing_hours
+            if not (cancelled_names or latency):
+                latency = 0.0  # not the empty sum's int 0
         else:
-            teardown_cost = ZERO
+            # -- prorated segments + completion billing ----------------
+            fractions = tile_fractions(
+                [end - start for start, end, _ in runs], epoch.months
+            )
+            operating = ZERO
+            hours = 0.0
+            breakdown = None
+            for (start, end, held), fraction in zip(runs, fractions):
+                breakdown = problem.evaluate(held).breakdown
+                full = (
+                    breakdown.total - breakdown.computing.materialization_cost
+                )
+                operating = operating + (
+                    full if fraction == 1.0 else full * fraction
+                )
+                hours += breakdown.processing_hours * fraction
+                segments.append(
+                    EpochSegment(
+                        start_month=start,
+                        months=end - start,
+                        fraction=fraction,
+                        subset=tuple(sorted(held)),
+                    )
+                )
+            build_cost = self._compute_bill(
+                problem.inputs.deployment,
+                sum(c.job.hours for c in completions),
+            )
+        stats = self._builder.evaluation_stats()
         record = EpochRecord(
             epoch=epoch.index,
             subset=tuple(sorted(target)),
             operating_cost=operating,
             build_cost=build_cost,
-            teardown_cost=teardown_cost,
+            teardown_cost=self._teardown_cost(problem.inputs, dropped),
             processing_hours=hours,
             views_built=tuple(sorted(built)),
             views_dropped=tuple(sorted(dropped)),
@@ -941,13 +815,51 @@ class LifecycleSimulator:
             migration_cost=migration_cost,
             migrated_to=migrated_to,
             views_cancelled=cancelled_names,
-            cancelled_cost=cancelled_cost,
+            cancelled_cost=self._compute_bill(cancel_deployment, sunk_hours),
             build_latency_months=latency,
             segments=tuple(segments),
             arrivals=arrivals,
             departures=departures,
+            cache_hits=stats.hits - stats_before.hits,
+            subsets_priced=stats.priced - stats_before.priced,
         )
-        return record, breakdown, live_at_end
+        return record, breakdown, holdings, stats
+
+    @staticmethod
+    def _account(
+        problem: SelectionProblem,
+        plan,
+        subset: FrozenSet[str],
+        built: FrozenSet[str],
+    ) -> CostBreakdown:
+        """Price one full deployment period of ``subset``.
+
+        The subset is priced through the cost model with the
+        materialization charge narrowed to the views ``built`` this
+        epoch — a carried view was paid for when it was built, and
+        only its maintenance recurs.
+        """
+        # plan_for orders per-view tuples by sorted view name; charge
+        # materialization only for the views built this epoch.
+        epoch_plan = replace(
+            plan,
+            materialization_hours=tuple(
+                hours if name in built else 0.0
+                for name, hours in zip(
+                    sorted(subset), plan.materialization_hours
+                )
+            ),
+        )
+        return problem.cost_model.evaluate(epoch_plan)
+
+    def _teardown_cost(
+        self, inputs: PlanningInputs, dropped: FrozenSet[str]
+    ) -> Money:
+        """One decommission egress of the dropped views' sizes."""
+        if not dropped or not self._charge_teardown:
+            return ZERO
+        dropped_gb = sum(inputs.view_stats[name].size_gb for name in dropped)
+        return inputs.deployment.provider.transfer.outbound_cost(dropped_gb)
 
     @staticmethod
     def _compute_bill(deployment, hours: float) -> Money:
@@ -955,8 +867,8 @@ class LifecycleSimulator:
 
         Billed through the same :func:`~repro.costmodel.computing.
         view_computing_cost` path the cost model uses, summed and
-        rounded once per epoch — matching how the synchronous
-        accounting rounds the views built together in one epoch.
+        rounded once per epoch — matching how :meth:`_account` rounds
+        the views built together in one full period.
         """
         if not hours:
             return ZERO
@@ -1050,67 +962,3 @@ class LifecycleSimulator:
     ) -> Dict[str, SimulationLedger]:
         """Run several policies over the same timeline, caches shared."""
         return compare_policies(self.run, policies)
-
-    # -- epoch accounting ----------------------------------------------
-
-    def _account(
-        self,
-        epoch_index: int,
-        problem: SelectionProblem,
-        subset: FrozenSet[str],
-        built: FrozenSet[str],
-        dropped: FrozenSet[str],
-        reoptimized: bool,
-        regret: float,
-        events: Tuple[str, ...],
-        migration_cost: Money = ZERO,
-        migrated_to: "Optional[str]" = None,
-        plan=None,
-        arrivals: Tuple[Tuple[str, Money], ...] = (),
-        departures: Tuple[Tuple[str, Money], ...] = (),
-    ) -> Tuple[EpochRecord, CostBreakdown]:
-        inputs = problem.inputs
-        # The async path hands down the plan it already computed for
-        # the same (problem, subset); the sync loop computes it here.
-        if plan is None:
-            plan = inputs.plan_for(subset)
-        # plan_for orders per-view tuples by sorted view name; charge
-        # materialization only for the views built this epoch.
-        ordered = sorted(subset)
-        epoch_plan = replace(
-            plan,
-            materialization_hours=tuple(
-                hours if name in built else 0.0
-                for name, hours in zip(ordered, plan.materialization_hours)
-            ),
-        )
-        breakdown = problem.cost_model.evaluate(epoch_plan)
-        build_cost = breakdown.computing.materialization_cost
-        operating_cost = breakdown.total - build_cost
-        if dropped and self._charge_teardown:
-            dropped_gb = sum(
-                inputs.view_stats[name].size_gb for name in dropped
-            )
-            teardown_cost = (
-                inputs.deployment.provider.transfer.outbound_cost(dropped_gb)
-            )
-        else:
-            teardown_cost = ZERO
-        record = EpochRecord(
-            epoch=epoch_index,
-            subset=tuple(ordered),
-            operating_cost=operating_cost,
-            build_cost=build_cost,
-            teardown_cost=teardown_cost,
-            processing_hours=breakdown.processing_hours,
-            views_built=tuple(sorted(built)),
-            views_dropped=tuple(sorted(dropped)),
-            reoptimized=reoptimized,
-            regret=regret,
-            events=events,
-            migration_cost=migration_cost,
-            migrated_to=migrated_to,
-            arrivals=arrivals,
-            departures=departures,
-        )
-        return record, breakdown

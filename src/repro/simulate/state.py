@@ -122,9 +122,9 @@ class WarehouseState:
     bills, so two states differing only in quotes share every cached
     pricing.
 
-    ``holdings`` carries the live/pending view distinction maintained
-    by the asynchronous simulator (empty under synchronous execution,
-    where a decided view *is* a live view).  Like the market it is
+    ``holdings`` carries the live/pending view distinction the
+    simulator maintains each epoch (with instant builds nothing is
+    ever pending: the live views are the previous decision).  Like the market it is
     excluded from the state key: it informs policies — queue depth,
     what physically exists — but a subset's price does not depend on
     which views happen to be mid-build.
@@ -286,7 +286,7 @@ class WarehouseState:
     def with_holdings(self, holdings: Holdings) -> "WarehouseState":
         """The same warehouse with its live/pending views restated.
 
-        Maintained by the asynchronous simulator each epoch so that
+        Maintained by the simulator each epoch so that
         policies (via :class:`~repro.simulate.problems.EpochContext`)
         can observe what physically exists and how deep the build
         queue is.  Never affects pricing or the state key.

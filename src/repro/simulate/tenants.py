@@ -465,12 +465,19 @@ class MultiTenantSimulator:
 
     A thin orchestration layer: the merged fleet steps through the
     ordinary :class:`LifecycleSimulator` (same policies, same caches,
-    same epoch accounting), and an observer splits each epoch's record
-    across tenants.  ``attribution`` picks the sharing rule — see
+    same epoch loop and accounting), and one attribution observer
+    splits each epoch's record across tenants by evaluating the
+    attributor's :meth:`~repro.simulate.attribution.
+    SharedCostAttributor.component_plan`.  :meth:`run` evaluates it as
+    one in-process shard and appends to per-tenant ledgers;
+    :meth:`run_sharded` evaluates it across tenant shards and folds
+    into per-tenant totals — the same records either way.
+    ``attribution`` picks the sharing rule — see
     :mod:`repro.simulate.attribution`.  ``builds`` (a
-    :class:`~repro.simulate.builds.BuildConfig`) makes the shared
-    warehouse's builds asynchronous; the attributor then splits each
-    epoch segment by segment, and the books still balance exactly.
+    :class:`~repro.simulate.builds.BuildConfig`; ``None`` = instant)
+    gives the shared warehouse's builds wall-clock latency; epochs
+    with mid-epoch landings are then split segment by segment, and
+    the books still balance exactly.
     """
 
     def __init__(
@@ -544,9 +551,10 @@ class MultiTenantSimulator:
     ) -> FleetLedger:
         """Simulate the fleet under ``policy``; books verified on return.
 
-        ``observer`` (the standard
-        :class:`~repro.simulate.simulator.EpochObserver` contract) is
-        composed *after* the attribution observer via
+        Each epoch's attribution is evaluated as one in-process shard
+        and appended to per-tenant ledgers.  ``observer`` (the
+        standard :class:`~repro.simulate.simulator.EpochObserver`
+        contract) is composed *after* the attribution observer via
         :func:`~repro.simulate.simulator.compose_observers`, so
         telemetry or logging observers see each epoch without wrapping
         the attribution machinery by hand.
@@ -555,31 +563,10 @@ class MultiTenantSimulator:
             name: TenantLedger(name, policy.describe())
             for name in self._fleet.tenant_names
         }
-        elastic = self._fleet.is_elastic
-        telemetry = current_telemetry()
-        explain = current_explain()
-        fold = (
-            TenantDeltaFold(policy.describe()) if explain.enabled else None
-        )
-
-        def attribute(record, problem, breakdown) -> None:
-            active = (
-                self._fleet.active_tenants(record.epoch)
-                if elastic
-                else None
-            )
-            for name, share in self._attributor.attribute(
-                problem, record, breakdown, tenants=active
-            ).items():
-                ledgers[name].append(share)
-                if fold is not None:
-                    explain.emit(fold.feed(share))
-            if telemetry.enabled and (record.arrivals or record.departures):
-                telemetry.inc("fleet.arrivals", len(record.arrivals))
-                telemetry.inc("fleet.departures", len(record.departures))
-
-        fleet_ledger = self._simulator.run(
-            policy, observer=compose_observers(attribute, observer)
+        fleet_ledger = self._run_attributed(
+            policy,
+            lambda share: ledgers[share.tenant].append(share),
+            observer,
         )
         result = FleetLedger(fleet_ledger, ledgers)
         result.verify_attribution()
@@ -605,16 +592,39 @@ class MultiTenantSimulator:
         fold to (asserted by the books-balance verification on both
         paths).
         """
+        totals = {
+            name: TenantTotals(name) for name in self._fleet.tenant_names
+        }
+        fleet_ledger = self._run_attributed(
+            policy,
+            lambda share: totals[share.tenant].fold(share),
+            observer,
+            shards=shards,
+            jobs=jobs,
+        )
+        summary = FleetSummary(fleet_ledger, totals, shards=shards)
+        summary.verify_totals()
+        return summary
+
+    def _run_attributed(self, policy, sink, observer, shards=1, jobs=1):
+        """Run the fleet with one attribution observer feeding ``sink``.
+
+        Both runs go through here and differ only in the sink and the
+        sharding: every epoch's plan is evaluated by a
+        :class:`~repro.simulate.sharding.ShardedAttribution` (one
+        in-process shard for :meth:`run`), and its records — yielded
+        in tenant order, active split first, then departure
+        settlements — go to ``sink`` and, when explain is on, through
+        the tenant delta fold.  The fold runs in the parent process on
+        the globally ordered merge stream, so the explain stream is
+        byte-identical for any shards/jobs combination.  Returns the
+        fleet ledger.
+        """
         from .sharding import ShardedAttribution
 
-        roster = self._fleet.tenant_names
-        totals = {name: TenantTotals(name) for name in roster}
         elastic = self._fleet.is_elastic
         telemetry = current_telemetry()
         explain = current_explain()
-        # The shard merge yields shares in global tenant order in the
-        # *parent* process, so feeding the fold here keeps the explain
-        # stream byte-identical for any shards/jobs combination.
         fold = (
             TenantDeltaFold(policy.describe()) if explain.enabled else None
         )
@@ -622,14 +632,12 @@ class MultiTenantSimulator:
 
         def attribute(record, problem, breakdown) -> None:
             active = (
-                self._fleet.active_tenants(record.epoch)
-                if elastic
-                else roster
+                self._fleet.active_tenants(record.epoch) if elastic else None
             )
             for share in sharded.attribute_streaming(
                 problem, record, breakdown, active
             ):
-                totals[share.tenant].fold(share)
+                sink(share)
                 if fold is not None:
                     explain.emit(fold.feed(share))
             if telemetry.enabled and (record.arrivals or record.departures):
@@ -637,14 +645,11 @@ class MultiTenantSimulator:
                 telemetry.inc("fleet.departures", len(record.departures))
 
         try:
-            fleet_ledger = self._simulator.run(
+            return self._simulator.run(
                 policy, observer=compose_observers(attribute, observer)
             )
         finally:
             sharded.close()
-        summary = FleetSummary(fleet_ledger, totals, shards=sharded.shards)
-        summary.verify_totals()
-        return summary
 
     def compare(
         self, policies: Iterable[ReselectionPolicy]

@@ -48,7 +48,8 @@ def slow_simulator(**kwargs):
 
 
 class TestSyncParity:
-    """Zero-latency async must reproduce the sync ledgers byte for byte."""
+    """``builds=None`` means instant builds: any instant ``BuildConfig``,
+    whatever its slots or discipline, must give the same bytes."""
 
     @pytest.mark.parametrize("name", ["never", "periodic", "regret"])
     def test_drifting_preset_parity(self, name):
@@ -72,6 +73,22 @@ class TestSyncParity:
             builds=BuildConfig(slots=1, hours_per_month=float("inf")),
         ).run(make_policy("periodic"))
         assert instant.records == sync.records
+
+    @pytest.mark.parametrize("slots", [1, 3])
+    @pytest.mark.parametrize("discipline", ["fifo", "shortest"])
+    def test_any_instant_queue_reproduces_sync(self, slots, discipline):
+        sync = sync_simulator().run(make_policy("periodic"))
+        instant = drifting_sales_simulator(
+            n_epochs=EPOCHS,
+            n_rows=ROWS,
+            builds=BuildConfig(
+                slots=slots,
+                discipline=discipline,
+                hours_per_month=float("inf"),
+            ),
+        ).run(make_policy("periodic"))
+        assert instant.records == sync.records
+        assert instant.render() == sync.render()
 
     def test_stochastic_preset_parity(self):
         sync = stochastic_sales_simulator(
