@@ -17,7 +17,11 @@ is *deferred*: the run loop parks a closure over frozen facts via
 ``ExplainLog.emit_deferred`` and the record materializes on first
 log read.  The recorded arm reads the log — forcing that resolution —
 after stopping the clock, exactly where a real run pays it (export
-time, off the epoch loop's critical path).
+time, off the epoch loop's critical path).  That read prices each
+chain step from one cost-model plan
+(``EpochProblemBuilder.operating_cost``), never through a selection
+problem or the shared evaluation cache, so it cannot warm or perturb
+anything the run measured.
 
 Methodology: paired interleaved rounds — each round times both arms
 back to back on fresh simulators (no shared evaluation cache, so

@@ -34,7 +34,16 @@ the batch composition of the two.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
+from typing import (
+    AbstractSet,
+    Callable,
+    Dict,
+    FrozenSet,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..cube.build_plan import plan_builds
 from ..cube.views import CandidateView, ViewStats
@@ -48,7 +57,76 @@ from .maintenance import maintenance_hours_per_cycle
 from .params import DeploymentSpec, StorageTimeline
 from .total import WorkloadPlan
 
-__all__ = ["PlanningInputs", "PlanningEstimator", "QueryPricing"]
+__all__ = ["PlanningInputs", "PlanningEstimator", "QueryPricing", "subset_plan"]
+
+
+def _check_views(
+    subset: AbstractSet[str], known: AbstractSet[str]
+) -> FrozenSet[str]:
+    """Validate a set of candidate view names against ``known``.
+
+    Raises:
+        CostModelError: naming every unknown view, sorted.
+    """
+    unknown = set(subset) - known
+    if unknown:
+        raise CostModelError(f"unknown candidate views: {sorted(unknown)}")
+    return frozenset(subset)
+
+
+def subset_plan(
+    subset: AbstractSet[str],
+    known: AbstractSet[str],
+    view_stats: Mapping[str, ViewStats],
+    workload: Workload,
+    per_query: Callable[[FrozenSet[str]], Sequence[Tuple[float, float]]],
+    dataset_gb: float,
+    deployment: DeploymentSpec,
+    base_timeline: StorageTimeline,
+) -> WorkloadPlan:
+    """The :class:`WorkloadPlan` ``subset`` induces — the one constructor.
+
+    ``subset`` is validated against ``known`` first; ``per_query`` is
+    then called with the validated subset and returns each query's
+    single-execution ``(t_iV, result GB)`` pair, in workload order.
+    Frequencies are applied here, views are ordered by name, and a
+    deployment with ``cascade_materialization`` charges the cascaded
+    build schedule.  :meth:`PlanningInputs.plan_for` and the lifecycle
+    simulator's chain pricing both build their plans through this
+    function, so the two can never disagree on a plan.
+    """
+    subset = _check_views(subset, known)
+    rows = per_query(subset)
+    query_hours = tuple(
+        [row[0] * query.frequency for row, query in zip(rows, workload)]
+    )
+    result_sizes_gb = tuple(
+        [row[1] * query.frequency for row, query in zip(rows, workload)]
+    )
+    stats = [view_stats[name] for name in sorted(subset)]
+    if deployment.cascade_materialization and stats:
+        plan = plan_builds(
+            workload.schema,
+            stats,
+            dataset_gb,
+            deployment.job_hours,
+            deployment.materialization_write_factor,
+        )
+        materialization = tuple(plan.hours_for(s.view.name) for s in stats)
+    else:
+        materialization = tuple(s.materialization_hours for s in stats)
+    cycles = deployment.maintenance_cycles
+    return WorkloadPlan(
+        query_hours=query_hours,
+        result_sizes_gb=result_sizes_gb,
+        base_timeline=base_timeline,
+        materialization_hours=materialization,
+        maintenance_hours=tuple(
+            s.maintenance_hours_per_cycle * cycles for s in stats
+        ),
+        views_total_gb=sum(s.size_gb for s in stats),
+        runs_per_period=deployment.runs_per_period,
+    )
 
 
 @dataclass(frozen=True)
@@ -98,11 +176,7 @@ class PlanningInputs:
 
     def check_subset(self, subset: AbstractSet[str]) -> FrozenSet[str]:
         """Validate a set of candidate names."""
-        known = {c.name for c in self.candidates}
-        unknown = set(subset) - known
-        if unknown:
-            raise CostModelError(f"unknown candidate views: {sorted(unknown)}")
-        return frozenset(subset)
+        return _check_views(subset, {c.name for c in self.candidates})
 
     def best_source(self, query_name: str, subset: AbstractSet[str]) -> Optional[str]:
         """The selected view answering ``query_name`` fastest, if any beats base."""
@@ -118,7 +192,10 @@ class PlanningInputs:
 
     def query_hours_with(self, subset: AbstractSet[str]) -> Dict[str, float]:
         """Per-query t_iV under ``subset`` (min over answering views, capped by base)."""
-        subset = self.check_subset(subset)
+        return self._query_hours(self.check_subset(subset))
+
+    def _query_hours(self, subset: FrozenSet[str]) -> Dict[str, float]:
+        """:meth:`query_hours_with` on an already validated subset."""
         hours: Dict[str, float] = {}
         for query in self.workload:
             base = self.base_query_hours[query.name]
@@ -160,36 +237,23 @@ class PlanningInputs:
 
     def plan_for(self, subset: AbstractSet[str]) -> WorkloadPlan:
         """The :class:`WorkloadPlan` a subset induces (empty = baseline)."""
-        subset = self.check_subset(subset)
-        per_query = self.query_hours_with(subset)
-        ordered = sorted(subset, key=lambda name: self.view(name).name)
-        stats = [self.view_stats[name] for name in ordered]
-        cycles = self.deployment.maintenance_cycles
-        if self.deployment.cascade_materialization and stats:
-            plan = plan_builds(
-                self.workload.schema,
-                stats,
-                self.dataset_gb,
-                self.deployment.job_hours,
-                self.deployment.materialization_write_factor,
-            )
-            materialization = tuple(plan.hours_for(s.view.name) for s in stats)
-        else:
-            materialization = tuple(s.materialization_hours for s in stats)
-        return WorkloadPlan(
-            query_hours=tuple(
-                per_query[q.name] * q.frequency for q in self.workload
-            ),
-            result_sizes_gb=tuple(
-                self.result_sizes_gb[q.name] * q.frequency for q in self.workload
-            ),
-            base_timeline=self.base_timeline,
-            materialization_hours=materialization,
-            maintenance_hours=tuple(
-                s.maintenance_hours_per_cycle * cycles for s in stats
-            ),
-            views_total_gb=sum(s.size_gb for s in stats),
-            runs_per_period=self.deployment.runs_per_period,
+
+        def per_query(checked: FrozenSet[str]):
+            hours = self._query_hours(checked)
+            return [
+                (hours[q.name], self.result_sizes_gb[q.name])
+                for q in self.workload
+            ]
+
+        return subset_plan(
+            subset,
+            {c.name for c in self.candidates},
+            self.view_stats,
+            self.workload,
+            per_query,
+            self.dataset_gb,
+            self.deployment,
+            self.base_timeline,
         )
 
     def baseline_plan(self) -> WorkloadPlan:

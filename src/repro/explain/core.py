@@ -69,13 +69,14 @@ class _Deferred:
 
     :meth:`ExplainLog.emit_deferred` parks one of these in the entry
     list; the first read (:attr:`ExplainLog.records`,
-    :attr:`~ExplainLog.entries`, or :meth:`~ExplainLog.snapshot`)
-    calls the thunk once and swaps the returned record into the same
-    slot, preserving emission order.  The simulator uses this to move
-    the expensive parts of provenance — chain re-pricing, the exact
-    delta fold — off the run's critical path: the thunk closes over
-    finished, frozen facts (ledger records, interned problems), so
-    resolving late yields byte-identical records to resolving eagerly.
+    :attr:`~ExplainLog.entries`, :meth:`~ExplainLog.iter_json` or
+    :meth:`~ExplainLog.snapshot`) calls the thunk once and swaps the
+    returned record into the same slot, preserving emission order.
+    The simulator uses this to move the expensive parts of provenance
+    — chain re-pricing, the exact delta fold — off the run's critical
+    path: the thunk closes over finished, frozen facts (ledger
+    records, warehouse states), so resolving late yields
+    byte-identical records to resolving eagerly.
     """
 
     __slots__ = ("thunk",)
@@ -200,20 +201,33 @@ class ExplainLog:
         finally:
             self._context = previous
 
-    def snapshot(self) -> List[dict]:
-        """The log as JSON-safe dicts, for shipping across processes.
+    def iter_json(self) -> Iterator[dict]:
+        """The log as JSON-safe dicts, yielded one entry at a time.
 
-        Returns:
+        Deferred slots are resolved in place as the walk reaches them,
+        so a consumer that serializes each dict before asking for the
+        next (:func:`~repro.explain.export.write_explain`) never holds
+        more than one rendered entry.
+
+        Yields:
             One dict per entry, in emission order — record objects
             rendered through
             :func:`~repro.explain.records.record_to_json`, merged
             dicts passed through as-is.
         """
-        self._resolve()
-        return [
-            entry if isinstance(entry, dict) else record_to_json(entry)
-            for entry in self._entries
-        ]
+        entries = self._entries
+        for index, entry in enumerate(entries):
+            if type(entry) is _Deferred:
+                entry = entries[index] = entry.thunk()
+            yield entry if isinstance(entry, dict) else record_to_json(entry)
+
+    def snapshot(self) -> List[dict]:
+        """The log as JSON-safe dicts, for shipping across processes.
+
+        Returns:
+            :meth:`iter_json`'s dicts, collected into one list.
+        """
+        return list(self.iter_json())
 
     def merge(
         self, snapshot: List[dict], trial: Optional[int] = None

@@ -18,6 +18,10 @@ from .core import ExplainLog
 __all__ = ["explain_lines", "write_explain"]
 
 
+#: The one serializer: compact, key-sorted, ``Infinity`` for inf.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def explain_lines(log: ExplainLog) -> "list[str]":
     """The log's entries serialized, one JSON text per entry.
 
@@ -30,14 +34,16 @@ def explain_lines(log: ExplainLog) -> "list[str]":
         regret) serialize as JavaScript-style ``Infinity`` tokens —
         deterministic, and read back by :func:`json.loads`.
     """
-    return [
-        json.dumps(entry, sort_keys=True, separators=(",", ":"))
-        for entry in log.snapshot()
-    ]
+    return [_ENCODER.encode(entry) for entry in log.iter_json()]
 
 
 def write_explain(log: ExplainLog, stream: Union[IO[str], object]) -> int:
     """Write the log as JSON lines; returns the entry count.
+
+    Streams: each entry is rendered, serialized and written before the
+    next is touched, so the export never holds every line (or every
+    rendered dict) at once.  The bytes are exactly
+    :func:`explain_lines`, each line followed by a newline.
 
     Args:
         log: A live :class:`~repro.explain.core.ExplainLog`.
@@ -46,7 +52,8 @@ def write_explain(log: ExplainLog, stream: Union[IO[str], object]) -> int:
     Returns:
         The number of lines written.
     """
-    lines = explain_lines(log)
-    for line in lines:
-        stream.write(line + "\n")
-    return len(lines)
+    count = 0
+    for entry in log.iter_json():
+        stream.write(_ENCODER.encode(entry) + "\n")
+        count += 1
+    return count

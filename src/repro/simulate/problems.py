@@ -19,6 +19,20 @@ layers, coarsest first:
    problem the builder creates, so multi-policy sweeps over the same
    timeline share subset pricings across runs.
 
+Beside the problems sits one problem-free read path,
+:meth:`EpochProblemBuilder.operating_cost`: a state's operating bill
+at one subset, priced from a single
+:class:`~repro.costmodel.total.WorkloadPlan` assembled straight from
+layer 2's query pricings and evaluated by the Decimal oracle.  It
+skips layers 1 and 3 entirely — no state fingerprint, no
+:class:`~repro.costmodel.estimator.PlanningInputs`, no kernel
+factoring, no cache writes — which is what the explain layer's chain
+pricing wants: many states, one subset each.  It works inside layer
+2: a chain state's new query is priced once like any other, and each
+world memoizes, per subset, every query signature's ``(t_iV, result
+GB)`` row, so a step costs one pass over its workload plus the
+oracle's own fold.
+
 ``builds``, ``queries_priced`` and ``worlds_built`` are exposed so
 tests and benchmarks can assert the incremental path actually short-
 circuits.
@@ -27,10 +41,26 @@ circuits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Optional, Sequence, Tuple
+from typing import (
+    AbstractSet,
+    Dict,
+    FrozenSet,
+    Hashable,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
-from ..costmodel.estimator import PlanningEstimator, PlanningInputs, QueryPricing
+from ..costmodel.estimator import (
+    PlanningEstimator,
+    PlanningInputs,
+    QueryPricing,
+    subset_plan,
+)
+from ..costmodel.params import StorageTimeline
+from ..costmodel.total import CloudCostModel
 from ..cube.views import CandidateView, ViewStats
+from ..money import Money
 from ..optimizer.problem import (
     EvaluationStats,
     SelectionProblem,
@@ -57,7 +87,15 @@ class _PricedWorld:
         self._view_stats: Dict[str, ViewStats] = (
             self._estimator.view_statistics(catalogue)
         )
+        self._names = frozenset(self._view_stats)
         self._pricings: Dict[_QuerySig, QueryPricing] = {}
+        #: subset -> query signature -> (t_iV, result GB) under it.
+        self._rows: Dict[
+            FrozenSet[str], Dict[_QuerySig, Tuple[float, float]]
+        ] = {}
+        self._deployment = state.deployment
+        self._dataset_gb = state.dataset.logical_size_gb
+        self._model = CloudCostModel(state.deployment)
 
     def _pricing(self, query) -> Tuple[QueryPricing, bool]:
         sig: _QuerySig = (query.grain, query.filters)
@@ -82,6 +120,64 @@ class _PricedWorld:
             workload, self._catalogue, self._view_stats, memoized
         )
         return inputs, fresh
+
+    def operating_cost(
+        self, workload: Workload, subset: AbstractSet[str]
+    ) -> Tuple[Money, int]:
+        """``workload``'s operating bill at ``subset``; (cost, newly priced).
+
+        Builds the oracle's own :class:`~repro.costmodel.total.
+        WorkloadPlan` straight from the memoized query pricings and
+        prices it with :meth:`CloudCostModel.evaluate`.  No
+        :class:`PlanningInputs` or problem is assembled.
+        """
+        fresh = 0
+
+        def per_query(checked: FrozenSet[str]):
+            nonlocal fresh
+            rows = self._rows.get(checked)
+            if rows is None:
+                rows = self._rows[checked] = {}
+            try:
+                return [rows[(q.grain, q.filters)] for q in workload]
+            except KeyError:
+                pass
+            for query in workload:
+                sig = (query.grain, query.filters)
+                if sig not in rows:
+                    pricing, priced_now = self._pricing(query)
+                    fresh += priced_now
+                    rows[sig] = (
+                        _best_hours(pricing, checked),
+                        pricing.result_gb,
+                    )
+            return [rows[(q.grain, q.filters)] for q in workload]
+
+        plan = subset_plan(
+            subset,
+            self._names,
+            self._view_stats,
+            workload,
+            per_query,
+            self._dataset_gb,
+            self._deployment,
+            StorageTimeline(self._dataset_gb, self._deployment.storage_months),
+        )
+        breakdown = self._model.evaluate(plan)
+        cost = breakdown.total - breakdown.computing.materialization_cost
+        return cost, fresh
+
+
+def _best_hours(pricing: QueryPricing, subset: FrozenSet[str]) -> float:
+    """``t_iV`` under ``subset``: the fastest answering view, capped by
+    the base time — :meth:`~repro.costmodel.estimator.PlanningInputs.
+    query_hours_with`'s rule, on one memoized pricing."""
+    best = pricing.base_hours
+    for name in subset:
+        hours = pricing.view_hours.get(name)
+        if hours is not None and hours < best:
+            best = hours
+    return best
 
 
 @dataclass(frozen=True)
@@ -190,15 +286,47 @@ class EpochProblemBuilder:
         problem = self._problems.get(key)
         if problem is not None:
             return problem
+        inputs, fresh = self._world_for(state).inputs_for(state.workload)
+        self.queries_priced += fresh
+        problem = SelectionProblem(inputs, cache=self._cache, state_key=key)
+        self._problems[key] = problem
+        self.builds += 1
+        return problem
+
+    def operating_cost(
+        self, state: WarehouseState, subset: AbstractSet[str]
+    ) -> Money:
+        """``state``'s operating bill at ``subset``, from one plan.
+
+        The same quantity as :func:`repro.simulate.arbitrage.
+        operating_cost` on :meth:`problem_for`'s problem — everything
+        but materialization — and ``repr``-equal to it: both start from
+        the same memoized query pricings, the plan comes from the same
+        :func:`~repro.costmodel.estimator.subset_plan`, and the
+        problem's kernel path reproduces the Decimal oracle used here
+        byte for byte.  What it skips is the problem: no
+        state fingerprint, no :class:`PlanningInputs`, no kernel
+        factoring, nothing added to the problem cache or the shared
+        subset cache.  The explain layer prices every step of an
+        epoch's event chain through here, so reading a log leaves the
+        builder's problems and evaluation counters untouched.
+
+        Raises:
+            CostModelError: ``subset`` names a view outside the
+                catalogue.
+        """
+        cost, fresh = self._world_for(state).operating_cost(
+            state.workload, subset
+        )
+        self.queries_priced += fresh
+        return cost
+
+    def _world_for(self, state: WarehouseState) -> _PricedWorld:
+        """The priced (dataset, deployment) world ``state`` lives in."""
         world_key = self._world_key(state)
         world = self._worlds.get(world_key)
         if world is None:
             world = _PricedWorld(state, self._catalogue)
             self._worlds[world_key] = world
             self.worlds_built += 1
-        inputs, fresh = world.inputs_for(state.workload)
-        self.queries_priced += fresh
-        problem = SelectionProblem(inputs, cache=self._cache, state_key=key)
-        self._problems[key] = problem
-        self.builds += 1
-        return problem
+        return world

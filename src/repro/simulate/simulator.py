@@ -83,7 +83,6 @@ from ..optimizer.problem import (
 from ..pricing.migration import migration_transfer_cost, migration_volume_gb
 from ..pricing.providers import Provider
 from ..telemetry import current as current_telemetry
-from .arbitrage import operating_cost as _subset_operating_cost
 from .builds import BuildConfig, BuildJob, tile_fractions
 from .clock import Epoch, SimulationClock
 from .events import (
@@ -324,7 +323,7 @@ class LifecycleSimulator:
         live: FrozenSet[str] = frozenset()
         current: Optional[FrozenSet[str]] = None
         previous_record: Optional[EpochRecord] = None
-        previous_problem: Optional[SelectionProblem] = None
+        previous_state: Optional[WarehouseState] = None
         last_index = self._clock.n_epochs - 1
         stats_before = self._builder.evaluation_stats()
         for epoch in self._clock:
@@ -491,10 +490,10 @@ class LifecycleSimulator:
                 self._emit_explain(
                     explain, ledger.policy_name, decision, record,
                     previous_record, current, baseline_live,
-                    chain, problem, previous_problem,
+                    chain, previous_state,
                 )
             previous_record = record
-            previous_problem = problem
+            previous_state = state
             current = target
         return ledger
 
@@ -508,8 +507,7 @@ class LifecycleSimulator:
         previous_subset: Optional[FrozenSet[str]],
         baseline_subset: Optional[FrozenSet[str]],
         chain,
-        problem: SelectionProblem,
-        previous_problem: Optional[SelectionProblem],
+        previous_state: Optional[WarehouseState],
     ) -> None:
         """Emit one epoch's provenance: trigger, builds, exact delta.
 
@@ -522,30 +520,21 @@ class LifecycleSimulator:
         closure allocations per epoch, and the real work — record
         construction, chain re-pricing, the exact ``Money`` fold —
         happens off the run's critical path.  Every input the thunks
-        close over is frozen (ledger records, the decision) or
-        interned (problems, chain states), so late resolution is
-        byte-identical to eager emission — and because no explain
-        pricing flows through the shared evaluation cache *during*
-        the run, the ledger's cache statistics are exactly those of an
-        uninstrumented run.
+        close over is frozen (ledger records, the decision, warehouse
+        states), so late resolution is byte-identical to eager
+        emission.  Chain pricing never touches the builder's problems
+        or the shared evaluation cache (see
+        :meth:`_epoch_delta_record`), so neither the run's ledger nor
+        the builder's counters depend on whether the log is read.
 
         ``previous_subset`` is the incumbent the *policy* saw (its
         ``current``); ``baseline_subset`` is the subset the
         telescoping event chain is priced with — the physically *live*
         holdings at epoch start, the same thing with instant builds
-        (``None`` on the first epoch — no chain).  ``chain`` holds ``(event, state)`` snapshots taken
-        after each event applied.
-
-        ``problem`` and ``previous_problem`` are the epoch's and the
-        previous epoch's decision problems, passed by reference so the
-        chain endpoints skip the problem lookup entirely: the carry
-        baseline *is* the previous epoch's decision state, and the
-        final chain state *is* this epoch's (holdings never enter
-        operating pricing — problem inputs are workload × dataset ×
-        deployment — so the holdings rewrite between a chain snapshot
-        and the decision state cannot move the priced value).  Only
-        intermediate states of multi-event epochs build problems of
-        their own.
+        (``None`` on the first epoch — no chain).  ``chain`` holds
+        ``(event, state)`` snapshots taken after each event applied;
+        ``previous_state`` is the previous epoch's decision state, the
+        chain's carry-over baseline.
         """
         explain.emit_deferred(
             lambda: PolicyTriggerRecord(
@@ -578,7 +567,7 @@ class LifecycleSimulator:
         explain.emit_deferred(
             lambda: self._epoch_delta_record(
                 policy_name, record, previous_record, baseline_subset,
-                chain, problem, previous_problem,
+                chain, previous_state,
             )
         )
 
@@ -589,15 +578,21 @@ class LifecycleSimulator:
         previous_record: Optional[EpochRecord],
         baseline_subset: Optional[FrozenSet[str]],
         chain,
-        problem: SelectionProblem,
-        previous_problem: Optional[SelectionProblem],
+        previous_state: Optional[WarehouseState],
     ) -> EpochDeltaRecord:
         """Build one epoch's exact delta record (deferred-thunk body).
 
         Runs at log-read time, after the simulation returned — see
-        :meth:`_emit_explain` for why that is safe.  Chain pricing
-        flows through the shared problem builder and evaluation cache,
-        so a state the run itself priced resolves as a cache hit.
+        :meth:`_emit_explain` for why that is safe.  Every chain entry
+        — the carry-over baseline (``previous_state``), each
+        intermediate state and the final one — is priced at the
+        baseline subset by :meth:`EpochProblemBuilder.operating_cost
+        <repro.simulate.problems.EpochProblemBuilder.operating_cost>`:
+        one plan from the builder's memoized query pricings, priced by
+        the Decimal oracle, with no selection problem built and
+        nothing written to the shared evaluation cache.  Holdings
+        never enter operating pricing, so pricing a chain snapshot is
+        pricing the decision state it became.
         """
         subterms = ()
         if previous_record is not None:
@@ -606,24 +601,18 @@ class LifecycleSimulator:
                 if baseline_subset is not None
                 else frozenset()
             )
+            operating = self._builder.operating_cost
             triples = []
             if chain:
                 triples.append(
-                    (
-                        "carry-over",
-                        "",
-                        _subset_operating_cost(previous_problem, base),
-                    )
+                    ("carry-over", "", operating(previous_state, base))
                 )
-                last = len(chain) - 1
-                for index, (event, chain_state) in enumerate(chain):
+                for event, chain_state in chain:
                     triples.append(
                         (
                             event_cause(event),
                             event.describe(),
-                            _subset_operating_cost(problem, base)
-                            if index == last
-                            else self._chain_operating(chain_state, base),
+                            operating(chain_state, base),
                         )
                     )
             subterms = chain_subterms(
@@ -637,21 +626,6 @@ class LifecycleSimulator:
             policy_name,
             operating_subterms=subterms,
         )
-
-    def _chain_operating(
-        self,
-        state: WarehouseState,
-        subset: FrozenSet[str],
-    ) -> Money:
-        """Price one intermediate chain state at the baseline subset.
-
-        Only multi-event epochs reach this — the chain's endpoints are
-        priced on the epoch problems the run loop already holds (see
-        :meth:`_emit_explain`).  Flows through the shared problem
-        builder, so a repeated intermediate state is still a cache hit.
-        """
-        problem = self._builder.problem_for(state)
-        return _subset_operating_cost(problem, subset)
 
     @staticmethod
     def _observe_epoch(telemetry, record: EpochRecord) -> None:

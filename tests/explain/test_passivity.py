@@ -14,16 +14,21 @@ Two directions:
   shared evaluation cache until the log is first *read* — and by
   then every ledger row is a frozen record stamped during the run,
   beyond reach of the resolution's cache traffic.
+* **Reading leaves the builder alone** — resolving the log prices
+  each chain step from one plan, never through a selection problem:
+  the builder's problems, their evaluation counters and the shared
+  subset cache read the same before and after the first read.
 """
 
 from __future__ import annotations
 
-from repro.explain import ExplainLog, activate
+from repro.explain import EpochDeltaRecord, ExplainLog, activate
 from repro.simulate import NeverReselect, make_policy
 from repro.simulate.presets import (
     DRIFT_MIN_EPOCHS,
     async_sales_simulator,
     drifting_sales_simulator,
+    elastic_multi_tenant_simulator,
     multi_tenant_sales_simulator,
 )
 
@@ -87,3 +92,30 @@ class TestDisabledAllocatesNothing:
             pass
         assert log.records == ()
         assert log.snapshot() == []
+
+
+def _builder_view(builder):
+    stats = builder.evaluation_stats()
+    return (
+        builder.builds,
+        builder.problems_cached,
+        (stats.calls, stats.local_hits, stats.shared_hits, stats.priced),
+        len(builder.cache),
+    )
+
+
+class TestReadingLeavesTheBuilderAlone:
+    def test_churn_chains_add_no_problems(self):
+        fleet = elastic_multi_tenant_simulator(
+            n_tenants=3, n_epochs=10, n_rows=4_000, seed=5
+        )
+        with activate(ExplainLog()) as log:
+            fleet.run(make_policy("regret"))
+        builder = fleet.simulator.builder
+        before = _builder_view(builder)
+        records = log.records
+        assert any(
+            isinstance(record, EpochDeltaRecord)
+            for record in records
+        )
+        assert _builder_view(builder) == before
