@@ -34,6 +34,7 @@ the batch composition of the two.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import (
     AbstractSet,
     Callable,
@@ -61,22 +62,25 @@ __all__ = ["PlanningInputs", "PlanningEstimator", "QueryPricing", "subset_plan"]
 
 
 def _check_views(
-    subset: AbstractSet[str], known: AbstractSet[str]
+    subset: AbstractSet[str], known: FrozenSet[str]
 ) -> FrozenSet[str]:
     """Validate a set of candidate view names against ``known``.
+
+    O(len(subset)): ``known`` is the caller's held name set, never
+    rebuilt here.
 
     Raises:
         CostModelError: naming every unknown view, sorted.
     """
-    unknown = set(subset) - known
-    if unknown:
+    if not known.issuperset(subset):
+        unknown = set(subset) - known
         raise CostModelError(f"unknown candidate views: {sorted(unknown)}")
     return frozenset(subset)
 
 
 def subset_plan(
     subset: AbstractSet[str],
-    known: AbstractSet[str],
+    known: FrozenSet[str],
     view_stats: Mapping[str, ViewStats],
     workload: Workload,
     per_query: Callable[[FrozenSet[str]], Sequence[Tuple[float, float]]],
@@ -150,6 +154,11 @@ class PlanningInputs:
 
     All hours are single-execution times; frequencies are applied when
     a :class:`WorkloadPlan` is built.
+
+    The candidate and workload-query name sets are computed once, on
+    first use, and held on the instance; they are derived state, so
+    they take no part in ``==``, ``repr``, :meth:`fingerprint` or
+    pickling.
     """
 
     workload: Workload
@@ -165,6 +174,26 @@ class PlanningInputs:
     deployment: DeploymentSpec
     base_timeline: StorageTimeline
 
+    # -- held name sets ------------------------------------------------
+
+    @cached_property
+    def _candidate_names(self) -> FrozenSet[str]:
+        """Every candidate view name, computed once."""
+        return frozenset(c.name for c in self.candidates)
+
+    @cached_property
+    def _query_names(self) -> FrozenSet[str]:
+        """Every workload query name, computed once."""
+        return frozenset(q.name for q in self.workload)
+
+    def __getstate__(self) -> Dict[str, object]:
+        # Drop the held name sets: a pickle carries only the fields,
+        # whether or not the sets were built before pickling.
+        state = dict(self.__dict__)
+        state.pop("_candidate_names", None)
+        state.pop("_query_names", None)
+        return state
+
     # -- subset evaluation ---------------------------------------------
 
     def view(self, name: str) -> CandidateView:
@@ -176,7 +205,7 @@ class PlanningInputs:
 
     def check_subset(self, subset: AbstractSet[str]) -> FrozenSet[str]:
         """Validate a set of candidate names."""
-        return _check_views(subset, {c.name for c in self.candidates})
+        return _check_views(subset, self._candidate_names)
 
     def best_source(self, query_name: str, subset: AbstractSet[str]) -> Optional[str]:
         """The selected view answering ``query_name`` fastest, if any beats base."""
@@ -223,7 +252,7 @@ class PlanningInputs:
         typo would make a tenant's hours quietly vanish.
         """
         names = set(query_names)
-        unknown = names - {q.name for q in self.workload}
+        unknown = names - self._query_names
         if unknown:
             raise CostModelError(
                 f"unknown workload queries: {sorted(unknown)}"
@@ -247,7 +276,7 @@ class PlanningInputs:
 
         return subset_plan(
             subset,
-            {c.name for c in self.candidates},
+            self._candidate_names,
             self.view_stats,
             self.workload,
             per_query,

@@ -42,9 +42,9 @@ def _repair(
         for name in problem.candidate_names:
             if name in current:
                 continue
-            outcome = problem.evaluate(current | {name})
-            if scenario.violation(outcome) < best_violation:
-                best_violation = scenario.violation(outcome)
+            violation = scenario.violation(problem.evaluate(current | {name}))
+            if violation < best_violation:
+                best_violation = violation
                 best_name = name
         if best_name is None:
             raise InfeasibleProblemError(
@@ -59,18 +59,23 @@ def _best_addition(
     scenario: Scenario,
     current: FrozenSet[str],
 ) -> Optional[SelectionOutcome]:
+    """The first feasible candidate with the strictly smallest key below
+    the incumbent's; each outcome is scored once."""
     base_key = scenario.key(problem.evaluate(current))
     best: Optional[SelectionOutcome] = None
+    best_key = base_key
     for name in problem.candidate_names:
         if name in current:
             continue
         outcome = problem.evaluate(current | {name})
         if not scenario.feasible(outcome):
             continue
-        if scenario.key(outcome) >= base_key:
+        key = scenario.key(outcome)
+        if key >= base_key:
             continue
-        if best is None or scenario.key(outcome) < scenario.key(best):
+        if best is None or key < best_key:
             best = outcome
+            best_key = key
     return best
 
 
@@ -82,13 +87,21 @@ def _drop_pass(
     improved = True
     while improved:
         improved = False
+        current_key = None
         for name in sorted(current):
             trimmed = current - {name}
             outcome = problem.evaluate(trimmed)
             if not scenario.feasible(outcome):
                 continue
-            if scenario.key(outcome) < scenario.key(problem.evaluate(current)):
+            # Evaluated even once its key is held: a local-cache hit
+            # that keeps the problem's call counters unchanged.
+            incumbent = problem.evaluate(current)
+            if current_key is None:
+                current_key = scenario.key(incumbent)
+            key = scenario.key(outcome)
+            if key < current_key:
                 current = trimmed
+                current_key = key
                 improved = True
     return current
 

@@ -98,12 +98,15 @@ class SubsetEvaluationCache:
     pricing purposes, so their outcomes can be shared.  Used by
     :mod:`repro.simulate` to keep multi-epoch, multi-policy sweeps from
     re-pricing unchanged epochs.
+
+    Entries are stored under the state key's interned id (see
+    :meth:`intern`), so :meth:`get` and :meth:`put` hash a deep key
+    once per call while a :class:`SelectionProblem` resolves its id
+    once and then looks entries up by that ``int`` alone.
     """
 
     def __init__(self) -> None:
-        self._entries: Dict[
-            Tuple[Hashable, FrozenSet[str]], SelectionOutcome
-        ] = {}
+        self._entries: Dict[Tuple[int, FrozenSet[str]], SelectionOutcome] = {}
         self._interned: Dict[Hashable, int] = {}
         self.hits = 0
         self.misses = 0
@@ -130,12 +133,11 @@ class SubsetEvaluationCache:
         self, state_key: Hashable, subset: FrozenSet[str]
     ) -> Optional[SelectionOutcome]:
         """The cached outcome for ``subset`` in world ``state_key``, if any."""
-        outcome = self._entries.get((state_key, subset))
-        if outcome is None:
+        state_id = self._interned.get(state_key)
+        if state_id is None:
             self.misses += 1
-        else:
-            self.hits += 1
-        return outcome
+            return None
+        return self._get_interned(state_id, subset)
 
     def put(
         self,
@@ -144,7 +146,24 @@ class SubsetEvaluationCache:
         outcome: SelectionOutcome,
     ) -> None:
         """Record a freshly priced outcome."""
-        self._entries[(state_key, subset)] = outcome
+        self._put_interned(self.intern(state_key), subset, outcome)
+
+    def _get_interned(
+        self, state_id: int, subset: FrozenSet[str]
+    ) -> Optional[SelectionOutcome]:
+        """:meth:`get` for a state key already resolved by :meth:`intern`."""
+        outcome = self._entries.get((state_id, subset))
+        if outcome is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return outcome
+
+    def _put_interned(
+        self, state_id: int, subset: FrozenSet[str], outcome: SelectionOutcome
+    ) -> None:
+        """:meth:`put` for a state key already resolved by :meth:`intern`."""
+        self._entries[(state_id, subset)] = outcome
 
     @property
     def hit_rate(self) -> float:
@@ -167,7 +186,9 @@ class SelectionProblem:
     ``cache`` (optional) is a :class:`SubsetEvaluationCache` shared
     with other problems; ``state_key`` identifies this problem's world
     in that cache and defaults to ``inputs.fingerprint()`` (computed
-    lazily, only if the shared cache is consulted).
+    lazily, only if the shared cache is consulted).  The key is
+    interned in the shared cache once, on first use, so each
+    evaluation hashes a small ``int`` rather than the whole key.
 
     ``kernel`` controls whether pricing runs through the vectorized
     :class:`~repro.kernel.KernelWorld` (``None`` follows the ambient
@@ -197,6 +218,8 @@ class SelectionProblem:
         self._cache: Dict[FrozenSet[str], SelectionOutcome] = {}
         self._shared = cache
         self._state_key = state_key
+        self._state_id: Optional[int] = None
+        self._candidate_names = tuple(c.name for c in inputs.candidates)
         self._stats = EvaluationStats()
         self._kernel_requested = kernel
         self._kernel_world: Optional[KernelWorld] = None
@@ -216,8 +239,8 @@ class SelectionProblem:
 
     @property
     def candidate_names(self) -> Tuple[str, ...]:
-        """Candidate view names, in deterministic order."""
-        return tuple(c.name for c in self._inputs.candidates)
+        """Candidate view names, in deterministic order (built once)."""
+        return self._candidate_names
 
     @property
     def stats(self) -> EvaluationStats:
@@ -240,7 +263,9 @@ class SelectionProblem:
             self._stats.local_hits += 1
             return cached
         if self._shared is not None:
-            shared = self._shared.get(self.state_key, key)
+            if self._state_id is None:
+                self._state_id = self._shared.intern(self.state_key)
+            shared = self._shared._get_interned(self._state_id, key)
             if shared is not None:
                 self._cache[key] = shared
                 self._stats.shared_hits += 1
@@ -254,7 +279,7 @@ class SelectionProblem:
         self._stats.priced += 1
         self._cache[key] = outcome
         if self._shared is not None:
-            self._shared.put(self.state_key, key, outcome)
+            self._shared._put_interned(self._state_id, key, outcome)
         return outcome
 
     def _kernel_world_for(self) -> Optional[KernelWorld]:

@@ -97,6 +97,55 @@ class TestSubsetEvaluationCache:
         problem = SelectionProblem(paper_problem.inputs, cache=cache)
         assert problem.state_key == paper_problem.inputs.fingerprint()
 
+    def test_state_key_is_fingerprinted_once_per_problem(
+        self, paper_problem, monkeypatch
+    ):
+        """A shared cache resolves each problem's state key once: N
+        evaluations fingerprint the inputs at most once per problem,
+        and two problems over equal inputs still share entries."""
+        from repro.costmodel import PlanningInputs
+
+        calls = []
+        fingerprint = PlanningInputs.fingerprint
+
+        def counting(inputs):
+            calls.append(inputs)
+            return fingerprint(inputs)
+
+        monkeypatch.setattr(PlanningInputs, "fingerprint", counting)
+        cache = SubsetEvaluationCache()
+        names = paper_problem.candidate_names
+        subsets = [frozenset({a, b}) for a in names for b in names]
+        problems = [
+            SelectionProblem(paper_problem.inputs, cache=cache)
+            for _ in range(3)
+        ]
+        for problem in problems:
+            for subset in subsets:
+                problem.evaluate(subset)
+        assert len(calls) <= len(problems)
+        assert problems[0].stats.priced == len(set(subsets))
+        assert all(p.stats.priced == 0 for p in problems[1:])
+        assert all(
+            p.stats.shared_hits == len(set(subsets)) for p in problems[1:]
+        )
+
+    def test_public_get_sees_entries_of_interned_problems(self, paper_problem):
+        """``get``/``put`` by state key and a problem's interned id are
+        one namespace: each sees the other's entries, and an int state
+        key is a key like any other, never mistaken for an id."""
+        cache = SubsetEvaluationCache()
+        problem = SelectionProblem(paper_problem.inputs, cache=cache)
+        outcome = problem.evaluate(frozenset({"V1"}))
+        assert cache.get(problem.state_key, frozenset({"V1"})) is outcome
+        assert cache.get(0, frozenset({"V1"})) is None
+        cache.put(0, frozenset({"V2"}), outcome)
+        keyed = SelectionProblem(paper_problem.inputs, cache=cache, state_key=0)
+        assert keyed.evaluate(frozenset({"V2"})) is outcome
+        assert keyed.stats.shared_hits == 1
+        assert keyed.evaluate(frozenset({"V1"})) is not outcome
+        assert keyed.stats.priced == 1
+
     def test_distinct_worlds_do_not_collide(
         self, sales_dataset_10gb, paper_problem
     ):
