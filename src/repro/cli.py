@@ -87,7 +87,7 @@ import argparse
 import dataclasses
 import os
 import sys
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from typing import Iterator, List, Optional
 
 from .errors import ReproError, SimulationError
@@ -95,6 +95,7 @@ from .kernel import NO_KERNEL_ENV
 from .experiments.context import ExperimentConfig, ExperimentContext
 from .experiments.runner import EXPERIMENTS, run_all, run_experiment
 from .explain import (
+    NULL as NULL_EXPLAIN,
     ExplainLog,
     activate as activate_explain,
     diff_epochs,
@@ -105,6 +106,7 @@ from .explain import (
     write_explain,
 )
 from .telemetry import (
+    NULL,
     Telemetry,
     activate,
     prometheus_text,
@@ -857,13 +859,9 @@ def _export_explain(log: ExplainLog, args: argparse.Namespace) -> None:
 def _run_simulate(args: argparse.Namespace) -> int:
     collector = _telemetry_collector(args)
     log = None if args.explain_out is None else ExplainLog()
-    if collector is None and log is None:
-        return _dispatch_simulate(args)
-    with ExitStack() as stack:
-        if collector is not None:
-            stack.enter_context(activate(collector))
-        if log is not None:
-            stack.enter_context(activate_explain(log))
+    with activate(NULL if collector is None else collector), activate_explain(
+        NULL_EXPLAIN if log is None else log
+    ):
         code = _dispatch_simulate(args)
     if log is not None:
         _export_explain(log, args)
@@ -984,7 +982,6 @@ def _run_simulate_montecarlo(args: argparse.Namespace) -> int:
         policies=tuple(
             PolicySpec(
                 name,
-                algorithm=args.algorithm,
                 period=args.period,
                 threshold=args.threshold,
                 hysteresis=args.hysteresis,

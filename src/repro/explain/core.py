@@ -1,7 +1,8 @@
 """The explain front end: ambient ``ExplainLog`` objects and scopes.
 
-The provenance layer mirrors :mod:`repro.telemetry.core`'s ambient
-seam exactly:
+The provenance layer shares :mod:`repro.telemetry.core`'s ambient
+seam — both bind their ``current``/``install``/``activate`` to an
+:class:`~repro._ambient.AmbientSlot`:
 
 * :data:`NULL` — the no-op singleton active by default.  ``emit()``
   is a ``pass`` and ``scope()`` hands back a shared reusable context
@@ -35,8 +36,9 @@ log is a pure function of the trial set, never of worker scheduling.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Iterator, List, Optional, Tuple, Union
+from typing import Callable, ContextManager, Iterator, List, Optional, Tuple, Union
 
+from .._ambient import NULL_CONTEXT, AmbientSlot
 from .records import record_to_json
 
 __all__ = [
@@ -47,21 +49,6 @@ __all__ = [
     "current",
     "install",
 ]
-
-
-class _NullScope:
-    """The reusable context manager ``NullExplain.scope`` hands out."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullScope":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        return None
-
-
-_NULL_SCOPE = _NullScope()
 
 
 class _Deferred:
@@ -104,9 +91,9 @@ class NullExplain:
     def emit_deferred(self, thunk: Callable[[], object]) -> None:
         """No-op — the thunk is dropped, never called."""
 
-    def scope(self, epoch: int, policy: str) -> _NullScope:
-        """A shared do-nothing context manager."""
-        return _NULL_SCOPE
+    def scope(self, epoch: int, policy: str) -> ContextManager[object]:
+        """The shared :data:`~repro._ambient.NULL_CONTEXT`."""
+        return NULL_CONTEXT
 
 
 class ExplainLog:
@@ -250,39 +237,13 @@ class ExplainLog:
 #: The process-wide no-op singleton.
 NULL = NullExplain()
 
-_ACTIVE: Union[ExplainLog, NullExplain] = NULL
+_SLOT = AmbientSlot(NULL, ExplainLog)
 
-
-def current() -> Union[ExplainLog, NullExplain]:
-    """The ambient explain object (:data:`NULL` unless installed)."""
-    return _ACTIVE
-
-
-def install(
-    log: Optional[Union[ExplainLog, NullExplain]],
-) -> Union[ExplainLog, NullExplain]:
-    """Replace the ambient explain object; returns the previous one.
-
-    ``None`` restores :data:`NULL`.  Prefer :func:`activate` in tests —
-    it restores the previous object on exit.
-    """
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = log if log is not None else NULL
-    return previous
-
-
-@contextmanager
-def activate(
-    log: Optional[Union[ExplainLog, NullExplain]] = None,
-) -> Iterator[Union[ExplainLog, NullExplain]]:
-    """Scoped :func:`install`: ambient inside the block, restored after.
-
-    With no argument, activates a fresh :class:`ExplainLog`.
-    """
-    active = log if log is not None else ExplainLog()
-    previous = install(active)
-    try:
-        yield active
-    finally:
-        install(previous)
+#: The ambient explain object (:data:`NULL` unless installed).
+current = _SLOT.current
+#: Replace the ambient object (``None`` restores :data:`NULL`); returns
+#: the previous one.
+install = _SLOT.install
+#: Scoped :func:`install`; with no argument, activates a fresh
+#: :class:`ExplainLog`.
+activate = _SLOT.activate

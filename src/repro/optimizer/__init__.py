@@ -16,7 +16,6 @@ from .registry import OptimizerSpec, register, registered_algorithms, resolve
 from .scenarios import BudgetLimit, Scenario, TimeLimit, Tradeoff, mv1, mv2, mv3
 from .search import BeamSearchSpec, LocalSearchSpec, SearchBudget
 from .selector import (
-    ALGORITHMS,
     ExhaustiveSpec,
     GreedySpec,
     KnapsackSpec,
@@ -25,7 +24,6 @@ from .selector import (
 )
 
 __all__ = [
-    "ALGORITHMS",
     "BeamSearchSpec",
     "BudgetLimit",
     "ElasticChoice",

@@ -1,19 +1,17 @@
 """The optimizer registry: algorithms as named, typed spec objects.
 
-Historically the library's algorithm surface was a hardcoded
-``ALGORITHMS = ("knapsack", "greedy", "exhaustive")`` tuple and a
-string kwarg threaded through :func:`~repro.optimizer.selector.
-select_views`, the re-selection policies and the CLI.  Strings cannot
-carry configuration — a beam width, an evaluation budget, a search
-seed, a warm-start tolerance — so every new knob would have become
-another scattered kwarg.  This module replaces the tuple with a
-registry of :class:`OptimizerSpec` subclasses:
+A bare algorithm name cannot carry configuration — a beam width, an
+evaluation budget, a search seed, a warm-start tolerance — so every
+knob would become another kwarg threaded through
+:func:`~repro.optimizer.selector.select_views`, the re-selection
+policies and the CLI.  This module is instead a registry of
+:class:`OptimizerSpec` subclasses:
 
 * every algorithm is a frozen dataclass carrying its own configuration
   (so specs pickle into Monte Carlo workers and *are* their identity);
 * algorithms register by name via :func:`register`, and
-  :func:`resolve` turns either a name or a spec instance into a spec —
-  strings keep working everywhere they used to;
+  :func:`resolve` turns either a name or a spec instance into a spec,
+  so a plain name works wherever a spec does;
 * unknown names raise :class:`~repro.errors.OptimizationError` listing
   every registered name, and scenario/algorithm mismatches raise the
   typed :class:`~repro.errors.ScenarioMismatchError` naming both sides
@@ -149,9 +147,9 @@ def registered_algorithms() -> Tuple[str, ...]:
 def resolve(algorithm: Union[str, OptimizerSpec]) -> OptimizerSpec:
     """``algorithm`` as a spec: names default-construct, specs pass through.
 
-    The compatibility seam: every call site that used to take an
-    algorithm string funnels through here, so legacy spellings keep
-    working and unknown names fail with the full registered list.
+    Every call site that accepts an algorithm funnels through here,
+    so a registered name means the same spec everywhere and unknown
+    names fail with the full registered list.
     """
     if isinstance(algorithm, OptimizerSpec):
         return algorithm

@@ -20,7 +20,7 @@ outcome *and* the no-views baseline, because the paper's reported
 quantities (Tables 6-8) are improvement rates against that baseline.
 
 Algorithms are resolved through the :mod:`repro.optimizer.registry`:
-``algorithm`` may be a legacy name string or an
+``algorithm`` may be a registered name or an
 :class:`~repro.optimizer.registry.OptimizerSpec` instance carrying its
 own configuration (beam widths, budgets, seeds for the anytime search
 family in :mod:`repro.optimizer.search`).  The classic trio's specs —
@@ -49,17 +49,10 @@ from .scenarios import BudgetLimit, Scenario, TimeLimit, Tradeoff
 __all__ = [
     "SelectionResult",
     "select_views",
-    "ALGORITHMS",
     "KnapsackSpec",
     "GreedySpec",
     "ExhaustiveSpec",
 ]
-
-#: Legacy spellings of the classic trio.  Kept for compatibility; the
-#: authoritative list is :func:`repro.optimizer.registry.
-#: registered_algorithms`, which also includes the search family.
-ALGORITHMS = ("knapsack", "greedy", "exhaustive")
-
 
 @dataclass(frozen=True)
 class SelectionResult:

@@ -246,11 +246,6 @@ class ArbitrageAware(ReselectionPolicy):
         return self._inner.scenario
 
     @property
-    def algorithm(self) -> str:
-        """The inner policy's selection algorithm (delegated)."""
-        return self._inner.algorithm
-
-    @property
     def optimizer(self):
         """The inner policy's optimizer spec (delegated)."""
         return self._inner.optimizer

@@ -33,11 +33,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import SimulationError
+from ..explain import NULL as NULL_EXPLAIN
 from ..explain import ExplainLog
 from ..explain import activate as activate_explain
 from ..explain import current as current_explain
 from ..money import Money
 from ..optimizer.registry import OptimizerSpec
+from ..optimizer.selector import GreedySpec
+from ..telemetry import NULL as NULL_TELEMETRY
 from ..telemetry import Telemetry, activate, current as current_telemetry
 from .arbitrage import ArbitrageAware
 from .builds import BUILD_DISCIPLINES, BuildConfig
@@ -80,23 +83,20 @@ class PolicySpec:
     of the config quote the multi-provider market — so an arbitrage
     spec and its stay-put twin compare over identical worlds.
 
-    ``optimizer`` is the redesigned selection surface: a frozen
+    ``optimizer`` is a frozen
     :class:`~repro.optimizer.registry.OptimizerSpec` carrying the
-    algorithm *and* its knobs (budgets, seeds, beam widths), which
-    pickles into workers like every other field.  When set it takes
-    precedence over the legacy ``algorithm`` name string, which stays
-    for compatibility.
+    selection algorithm *and* its knobs (budgets, seeds, beam widths),
+    which pickles into workers like every other field.
     """
 
     name: str
-    algorithm: str = "greedy"
     period: int = 4
     threshold: float = 0.05
     hysteresis: int = 1
     arbitrage: bool = False
     migration_horizon: int = 6
     migration_hold: int = 2
-    optimizer: Optional[OptimizerSpec] = None
+    optimizer: OptimizerSpec = GreedySpec()
 
     def __post_init__(self) -> None:
         if self.name not in POLICY_NAMES:
@@ -119,11 +119,7 @@ class PolicySpec:
             period=self.period,
             threshold=self.threshold,
             hysteresis=self.hysteresis,
-            # The legacy name string routes through the same registry
-            # as a spec object, so both spellings build identically.
-            optimizer=(
-                self.optimizer if self.optimizer is not None else self.algorithm
-            ),
+            optimizer=self.optimizer,
         )
         if self.arbitrage:
             return ArbitrageAware(
@@ -423,7 +419,11 @@ def _trial_with_snapshot(
     collect: bool,
     collect_explain: bool = False,
 ):
-    """Run one trial, optionally under fresh telemetry/explain collectors.
+    """Run one trial under fresh telemetry/explain collectors or no-ops.
+
+    Every trial takes the same path: a sink that is off is activated
+    as its ``NULL`` singleton, so the trial span and counters simply
+    go to whichever telemetry object is active.
 
     Returns ``(outcomes, snapshot, explain_snapshot)`` where
     ``snapshot`` is the trial's own registry snapshot and
@@ -438,28 +438,18 @@ def _trial_with_snapshot(
     pools (whose workers reset the ambient objects to the no-op
     singletons) behave exactly like fork-start ones.
     """
-    explain_snapshot = None
-    if collect_explain:
-        with activate_explain(ExplainLog()) as log:
-            if not collect:
-                outcomes = run_trial(config, trial)
-                return outcomes, None, log.snapshot()
-            with activate(Telemetry()) as telemetry:
-                with telemetry.span("montecarlo.trial", trial=trial):
-                    outcomes = run_trial(config, trial)
-                telemetry.inc("montecarlo.trials")
-                telemetry.inc("montecarlo.outcomes", len(outcomes))
-                registry_snapshot = telemetry.registry.snapshot()
-            explain_snapshot = log.snapshot()
-        return outcomes, registry_snapshot, explain_snapshot
-    if not collect:
-        return run_trial(config, trial), None, None
-    with activate(Telemetry()) as telemetry:
+    telemetry = Telemetry() if collect else NULL_TELEMETRY
+    log = ExplainLog() if collect_explain else NULL_EXPLAIN
+    with activate(telemetry), activate_explain(log):
         with telemetry.span("montecarlo.trial", trial=trial):
             outcomes = run_trial(config, trial)
         telemetry.inc("montecarlo.trials")
         telemetry.inc("montecarlo.outcomes", len(outcomes))
-        return outcomes, telemetry.registry.snapshot(), None
+        # Snapshot the registry before reading the log: materializing
+        # deferred explain records must never count into the metrics.
+        snapshot = telemetry.registry.snapshot() if collect else None
+        explain_snapshot = log.snapshot() if collect_explain else None
+    return outcomes, snapshot, explain_snapshot
 
 
 # ---------------------------------------------------------------------------

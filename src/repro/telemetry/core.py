@@ -14,7 +14,9 @@ Everything in the lifecycle stack reports through one of two objects:
   JSON-lines exporter.
 
 The active object is ambient: :func:`current` reads it,
-:func:`install` replaces it, and :func:`activate` is the scoped form::
+:func:`install` replaces it, and :func:`activate` is the scoped form.
+All three are bound to one :class:`~repro._ambient.AmbientSlot`, the
+same slot type :mod:`repro.explain` uses::
 
     from repro import telemetry
 
@@ -33,9 +35,9 @@ for deterministic merging.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Union
+from typing import ContextManager, Dict, List, Optional, Union
 
+from .._ambient import NULL_CONTEXT, AmbientSlot
 from .registry import MetricsRegistry, _Observable
 
 __all__ = [
@@ -46,21 +48,6 @@ __all__ = [
     "current",
     "install",
 ]
-
-
-class _NullSpan:
-    """The reusable context manager ``NullTelemetry.span`` hands out."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        return None
-
-
-_NULL_SPAN = _NullSpan()
 
 
 class NullTelemetry:
@@ -85,7 +72,7 @@ class NullTelemetry:
     def observe(self, name: str, value: _Observable, **labels: str) -> None:
         """No-op."""
 
-    def span(self, name: str, **attrs: object) -> _NullSpan:
+    def span(self, name: str, **attrs: object) -> ContextManager[object]:
         """A shared do-nothing context manager.
 
         Args:
@@ -93,9 +80,9 @@ class NullTelemetry:
             **attrs: Ignored.
 
         Returns:
-            The shared :class:`_NullSpan` singleton.
+            The shared :data:`~repro._ambient.NULL_CONTEXT`.
         """
-        return _NULL_SPAN
+        return NULL_CONTEXT
 
 
 class _Span:
@@ -206,55 +193,13 @@ class Telemetry:
 #: The process-wide no-op singleton.
 NULL = NullTelemetry()
 
-_ACTIVE: Union[Telemetry, NullTelemetry] = NULL
+_SLOT = AmbientSlot(NULL, Telemetry)
 
-
-def current() -> Union[Telemetry, NullTelemetry]:
-    """The ambient telemetry object.
-
-    Returns:
-        The installed collector, or :data:`NULL` when none is.
-    """
-    return _ACTIVE
-
-
-def install(
-    telemetry: Optional[Union[Telemetry, NullTelemetry]],
-) -> Union[Telemetry, NullTelemetry]:
-    """Replace the ambient telemetry object.
-
-    Prefer :func:`activate` in tests — it restores the previous object
-    on exit.
-
-    Args:
-        telemetry: The collector to install; ``None`` restores
-            :data:`NULL`.
-
-    Returns:
-        The previously ambient object, for later reinstallation.
-    """
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = telemetry if telemetry is not None else NULL
-    return previous
-
-
-@contextmanager
-def activate(
-    telemetry: Optional[Union[Telemetry, NullTelemetry]] = None,
-) -> Iterator[Union[Telemetry, NullTelemetry]]:
-    """Scoped :func:`install`: ambient inside the block, restored after.
-
-    Args:
-        telemetry: The collector to activate; ``None`` activates a
-            fresh :class:`Telemetry`.
-
-    Yields:
-        The activated object (handy for reading metrics afterwards).
-    """
-    active = telemetry if telemetry is not None else Telemetry()
-    previous = install(active)
-    try:
-        yield active
-    finally:
-        install(previous)
+#: The ambient telemetry object (:data:`NULL` unless installed).
+current = _SLOT.current
+#: Replace the ambient object (``None`` restores :data:`NULL`); returns
+#: the previous one.
+install = _SLOT.install
+#: Scoped :func:`install`; with no argument, activates a fresh
+#: :class:`Telemetry`.
+activate = _SLOT.activate

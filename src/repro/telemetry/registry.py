@@ -271,6 +271,11 @@ class MetricsRegistry:
 
         Merging the same snapshots in the same order always produces
         the same registry — the ``--jobs`` determinism property.
+
+        Raises:
+            TelemetryError: ``snapshot`` lacks a section, or a span
+                entry is not ``(count, seconds, min, max)``; nothing
+                is folded in that case.
         """
         try:
             counters = snapshot["counters"]
@@ -281,6 +286,16 @@ class MetricsRegistry:
             raise TelemetryError(
                 f"not a registry snapshot: missing {error}"
             ) from None
+        span_rows = []
+        for name, entry in spans.items():
+            try:
+                count, seconds, minimum, maximum = entry
+            except (TypeError, ValueError):
+                raise TelemetryError(
+                    f"span {name!r} snapshot entry is not "
+                    f"(count, seconds, min, max): {entry!r}"
+                ) from None
+            span_rows.append((name, count, seconds, minimum, maximum))
         for key, value in counters.items():
             self._counters[key] = self._counters.get(key, 0) + value
         for key, value in gauges.items():
@@ -297,17 +312,13 @@ class MetricsRegistry:
                 hist.minimum = entry["min"]
             if entry["max"] > hist.maximum:
                 hist.maximum = entry["max"]
-        for name, (count, seconds, *extremes) in spans.items():
+        for name, count, seconds, minimum, maximum in span_rows:
             stats = self._spans.get(name)
             if stats is None:
                 stats = self._spans[name] = SpanStats()
             stats.count += count
             stats.seconds += seconds
-            # Snapshots from before min/max tracking are 2-tuples;
-            # their extremes stay whatever this side already holds.
-            if extremes:
-                minimum, maximum = extremes
-                if minimum < stats.minimum:
-                    stats.minimum = minimum
-                if maximum > stats.maximum:
-                    stats.maximum = maximum
+            if minimum < stats.minimum:
+                stats.minimum = minimum
+            if maximum > stats.maximum:
+                stats.maximum = maximum

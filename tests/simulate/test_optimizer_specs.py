@@ -6,11 +6,13 @@ import pickle
 
 import pytest
 
-from repro.errors import SimulationError
-from repro.optimizer import BeamSearchSpec, GreedySpec, KnapsackSpec
+from repro.optimizer import BeamSearchSpec, GreedySpec, KnapsackSpec, resolve
 from repro.simulate import (
     MonteCarloConfig,
+    NeverReselect,
+    PeriodicReselect,
     PolicySpec,
+    RegretTriggered,
     make_policy,
     run_monte_carlo,
 )
@@ -19,27 +21,35 @@ from repro.simulate import (
 class TestPolicyOptimizerKwarg:
     def test_default_is_greedy(self):
         policy = make_policy("periodic")
-        assert policy.algorithm == "greedy"
+        assert policy.optimizer.name == "greedy"
         assert isinstance(policy.optimizer, GreedySpec)
 
     def test_optimizer_accepts_name_and_spec(self):
         by_name = make_policy("periodic", optimizer="knapsack")
         by_spec = make_policy("periodic", optimizer=KnapsackSpec())
-        assert by_name.algorithm == by_spec.algorithm == "knapsack"
+        assert by_name.optimizer == by_spec.optimizer == KnapsackSpec()
+        assert by_name.optimizer.name == "knapsack"
 
     def test_search_spec_knobs_travel(self):
         spec = BeamSearchSpec(budget=64, seed=9)
         policy = make_policy("regret", optimizer=spec)
         assert policy.optimizer is spec
-        assert policy.algorithm == "beam"
+        assert policy.optimizer.name == "beam"
 
-    def test_legacy_algorithm_warns_deprecation(self):
-        with pytest.warns(DeprecationWarning, match="algorithm"):
-            policy = make_policy("periodic", algorithm="knapsack")
-        assert policy.algorithm == "knapsack"
+    def test_algorithm_kwarg_raises_type_error(self):
+        # The retired string spelling is no parameter at all any more:
+        # no policy entry point accepts it, and none has an accessor.
+        with pytest.raises(TypeError, match="algorithm"):
+            make_policy("periodic", algorithm="knapsack")
+        with pytest.raises(TypeError, match="algorithm"):
+            PolicySpec("periodic", algorithm="greedy")
+        for policy_class in (NeverReselect, PeriodicReselect, RegretTriggered):
+            with pytest.raises(TypeError, match="algorithm"):
+                policy_class(algorithm="greedy")
+        assert not hasattr(make_policy("periodic"), "algorithm")
 
     def test_both_kwargs_rejected(self):
-        with pytest.raises(SimulationError, match="not both"):
+        with pytest.raises(TypeError, match="algorithm"):
             make_policy(
                 "periodic", algorithm="greedy", optimizer=GreedySpec()
             )
@@ -54,11 +64,9 @@ class TestPolicyOptimizerKwarg:
 
 
 class TestPolicySpec:
-    def test_legacy_algorithm_field_builds_silently(self, recwarn):
-        # PolicySpec routes the legacy name through the registry, so
-        # existing configs build without deprecation noise.
-        policy = PolicySpec("periodic", algorithm="knapsack").build()
-        assert policy.algorithm == "knapsack"
+    def test_optimizer_field_builds_silently(self, recwarn):
+        policy = PolicySpec("periodic", optimizer=KnapsackSpec()).build()
+        assert policy.optimizer == KnapsackSpec()
         assert not [
             w
             for w in recwarn.list
@@ -66,26 +74,26 @@ class TestPolicySpec:
         ]
 
     def test_optimizer_field_takes_precedence(self):
-        spec = PolicySpec(
-            "periodic", algorithm="knapsack", optimizer=BeamSearchSpec()
-        )
-        assert spec.build().algorithm == "beam"
+        # The field defaults to greedy; a spec given replaces it.
+        assert PolicySpec("periodic").optimizer == GreedySpec()
+        spec = PolicySpec("periodic", optimizer=BeamSearchSpec())
+        assert spec.build().optimizer.name == "beam"
 
     def test_spec_with_optimizer_pickles(self):
         spec = PolicySpec("regret", optimizer=BeamSearchSpec(budget=32))
         clone = pickle.loads(pickle.dumps(spec))
         assert clone == spec
-        assert clone.build().algorithm == "beam"
+        assert clone.build().optimizer.name == "beam"
 
 
 class TestMonteCarloEquivalence:
-    def test_legacy_and_spec_spellings_identical(self):
-        legacy = MonteCarloConfig(
+    def test_name_and_spec_spellings_identical(self):
+        by_name = MonteCarloConfig(
             n_trials=2,
             n_epochs=4,
             n_rows=4_000,
             seed=7,
-            policies=(PolicySpec("periodic", algorithm="greedy"),),
+            policies=(PolicySpec("periodic", optimizer=resolve("greedy")),),
         )
         spec = MonteCarloConfig(
             n_trials=2,
@@ -95,7 +103,7 @@ class TestMonteCarloEquivalence:
             policies=(PolicySpec("periodic", optimizer=GreedySpec()),),
         )
         assert (
-            run_monte_carlo(legacy, jobs=1).rows()
+            run_monte_carlo(by_name, jobs=1).rows()
             == run_monte_carlo(spec, jobs=1).rows()
         )
 

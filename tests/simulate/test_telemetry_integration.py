@@ -16,6 +16,8 @@ import dataclasses
 
 import pytest
 
+from repro import explain, telemetry
+from repro.explain import ExplainLog, explain_lines
 from repro.simulate import (
     MonteCarloConfig,
     PolicySpec,
@@ -196,6 +198,101 @@ class TestObserverErgonomics:
         assert seen == [record.epoch for record in ledger.records]
 
 
+#: Small enough to run under every sink combination at two job counts.
+SINK_MATRIX = MonteCarloConfig(n_trials=2, n_epochs=4, n_rows=4_000, seed=7)
+
+
+class TestOneCapturePath:
+    """Every trial runs one path whichever sinks are on; a sink that is
+    off is the ``NULL`` singleton, so neither sink can perturb the
+    other or the summary."""
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        results = {}
+        for jobs in (1, 2):
+            for metrics in (False, True):
+                for provenance in (False, True):
+                    sink = Telemetry() if metrics else telemetry.NULL
+                    log = ExplainLog() if provenance else explain.NULL
+                    with activate(sink), explain.activate(log):
+                        result = run_monte_carlo(SINK_MATRIX, jobs=jobs)
+                    results[jobs, metrics, provenance] = (
+                        result.rows(),
+                        prometheus_text(sink.registry) if metrics else None,
+                        explain_lines(log) if provenance else None,
+                    )
+        return results
+
+    def test_summary_rows_identical_under_every_sink(self, runs):
+        rows = [rows for rows, _, _ in runs.values()]
+        assert len(rows) == 8
+        assert all(other == rows[0] for other in rows)
+
+    def test_metrics_identical_with_and_without_explain(self, runs):
+        dumps = [
+            dump for (_, metrics, _), (_, dump, _) in runs.items() if metrics
+        ]
+        assert len(dumps) == 4
+        assert "montecarlo_trials" in dumps[0]
+        assert all(other == dumps[0] for other in dumps)
+
+    def test_explain_identical_with_and_without_metrics(self, runs):
+        logs = [
+            lines
+            for (_, _, provenance), (_, _, lines) in runs.items()
+            if provenance
+        ]
+        assert len(logs) == 4
+        assert logs[0]
+        assert all(other == logs[0] for other in logs)
+
+    def test_explain_materialization_never_counts_into_metrics(
+        self, monkeypatch
+    ):
+        from repro.simulate import montecarlo
+
+        real_trial = montecarlo.run_trial
+
+        def probed_trial(config, trial):
+            def thunk():
+                telemetry.current().inc("probe.leaked")
+                return {"kind": "probe"}
+
+            explain.current().emit_deferred(thunk)
+            return real_trial(config, trial)
+
+        monkeypatch.setattr(montecarlo, "run_trial", probed_trial)
+        config = dataclasses.replace(
+            SINK_MATRIX, n_trials=1, policies=(PolicySpec("never"),)
+        )
+        with activate(Telemetry()) as sink, explain.activate(
+            ExplainLog()
+        ) as log:
+            run_monte_carlo(config, jobs=1)
+        assert any('"probe"' in line for line in explain_lines(log))
+        assert sink.registry.counter("probe.leaked") == 0
+
+    def test_both_slots_back_at_null(self, runs):
+        assert telemetry.current() is telemetry.NULL
+        assert explain.current() is explain.NULL
+
+
 class TestAmbientHygiene:
     def test_suite_leaves_no_collector_installed(self):
         assert not current().enabled
+        assert not explain.current().enabled
+
+    @pytest.mark.parametrize(
+        "slot, fresh",
+        [(telemetry, Telemetry), (explain, ExplainLog)],
+        ids=["telemetry", "explain"],
+    )
+    def test_activate_restores_previous_on_exception(self, slot, fresh):
+        outer = fresh()
+        with slot.activate(outer):
+            with pytest.raises(RuntimeError, match="boom"):
+                with slot.activate(fresh()):
+                    raise RuntimeError("boom")
+            assert slot.current() is outer
+        assert slot.current() is slot.NULL

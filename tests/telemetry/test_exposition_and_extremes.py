@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
-from repro.telemetry import MetricsRegistry, prometheus_text, summary_table
+import pytest
+
+from repro.telemetry import (
+    MetricsRegistry,
+    TelemetryError,
+    prometheus_text,
+    summary_table,
+)
 
 
 class TestLabelEscaping:
@@ -67,25 +74,27 @@ class TestSpanExtremes:
         assert stats.minimum == 0.2
         assert stats.maximum == 0.9
 
-    def test_merge_accepts_legacy_two_tuple_snapshots(self):
-        """Snapshots taken before min/max tracking carried only
-        ``(count, seconds)``; merging one must still work and leave
-        this side's extremes alone."""
+    def test_merge_rejects_two_tuple_span_snapshots(self):
+        """A span entry without min/max is not a snapshot this
+        registry produces; merging one fails loudly and folds
+        nothing."""
         registry = MetricsRegistry()
         registry.record_span("solve", 0.4)
-        registry.merge(
-            {
-                "counters": {},
-                "gauges": {},
-                "histograms": {},
-                "spans": {"solve": (2, 1.0)},
-            }
-        )
+        with pytest.raises(TelemetryError, match="solve"):
+            registry.merge(
+                {
+                    "counters": {("x.y", ()): 1},
+                    "gauges": {},
+                    "histograms": {},
+                    "spans": {"solve": (2, 1.0)},
+                }
+            )
         stats = registry.spans["solve"]
-        assert stats.count == 3
-        assert stats.seconds == 1.4
+        assert stats.count == 1
+        assert stats.seconds == 0.4
         assert stats.minimum == 0.4
         assert stats.maximum == 0.4
+        assert registry.counter("x.y") == 0
 
     def test_summary_table_shows_extremes(self):
         registry = MetricsRegistry()
